@@ -493,8 +493,8 @@ pub fn fig13(scale: &Scale) -> Vec<Experiment> {
 ///
 /// The baseline visits `width^length` trajectories; points whose count
 /// exceeds `baseline_cap` are reported as `NaN` (the paper plots them on a
-/// log axis measured on their hardware; we measure what fits and document
-/// the cap in EXPERIMENTS.md).
+/// log axis measured on their hardware; we measure what fits, and the
+/// `fig14` binary sets the cap).
 pub fn fig14(scale: &Scale, baseline_cap: u128) -> Vec<Experiment> {
     let side = scale.grid_side.max(15);
     let grid = GridMap::new(side, side, 1.0).expect("static grid");

@@ -1,5 +1,5 @@
 use crate::{CoreError, Result};
-use priste_qp::{ConstraintSet, SolverConfig};
+use priste_qp::SolverConfig;
 
 /// Configuration of the PriSTE framework.
 #[derive(Debug, Clone)]
@@ -9,10 +9,6 @@ pub struct PristeConfig {
     /// QP work budget per constraint check — the deterministic analogue of
     /// the paper's CPLEX wall-clock threshold (Table III sweeps this).
     pub qp_work_budget: u64,
-    /// Feasible set for adversarial initial probabilities. The faithful
-    /// reading of Theorem IV.1 is [`ConstraintSet::Simplex`] (see
-    /// DESIGN.md); [`ConstraintSet::Box`] exists for the ablation study.
-    pub constraint: ConstraintSet,
     /// Budget decay factor applied on each failed check (Algorithm 2
     /// line 19 uses ½; §IV.C discusses the efficiency/utility trade-off of
     /// other values).
@@ -33,7 +29,6 @@ impl Default for PristeConfig {
         PristeConfig {
             epsilon: 1.0,
             qp_work_budget: 200_000,
-            constraint: ConstraintSet::Simplex,
             decay: 0.5,
             budget_floor: 1e-4,
             max_attempts: 40,
@@ -86,7 +81,6 @@ impl PristeConfig {
     pub fn solver_config(&self) -> SolverConfig {
         SolverConfig {
             work_budget: self.qp_work_budget,
-            constraint: self.constraint,
             deadline: self.qp_deadline,
             ..SolverConfig::default()
         }

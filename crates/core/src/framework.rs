@@ -201,7 +201,7 @@ mod tests {
     use priste_geo::Region;
     use priste_linalg::Vector;
     use priste_markov::{gaussian_kernel_chain, Homogeneous};
-    use priste_quantify::fixed_pi::FixedPiQuantifier;
+    use priste_quantify::IncrementalTwoWorld;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -253,8 +253,9 @@ mod tests {
     #[test]
     fn released_sequence_actually_satisfies_epsilon_for_fixed_pi() {
         // End-to-end soundness: re-quantify the released emission columns
-        // with the fixed-π tracker; the realized loss must respect ε at
-        // every timestamp (fixed π is a special case of "any π").
+        // with the fixed-π streaming quantifier; the realized loss must
+        // respect ε at every timestamp (fixed π is a special case of
+        // "any π").
         let (grid, chain) = small_world();
         let events = vec![presence_event(&grid)];
         let epsilon = 0.8;
@@ -269,7 +270,8 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let pi = Vector::uniform(9);
-        let mut quantifier = FixedPiQuantifier::new(&events[0], chain.clone(), pi).unwrap();
+        let mut quantifier =
+            IncrementalTwoWorld::new(events[0].clone(), chain.clone(), pi).unwrap();
 
         let traj = chain
             .model()

@@ -1,4 +1,4 @@
-//! GeoLife substitute: a commuter simulator (see DESIGN.md
+//! GeoLife substitute: a commuter simulator (see README "Design notes" →
 //! "Substitutions").
 //!
 //! The real dataset is 1.7 GB of GPS traces and cannot ship with this

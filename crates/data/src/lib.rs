@@ -18,8 +18,8 @@
 //!   simulator producing multi-day home↔work trajectories with Gaussian
 //!   jitter and exploration noise over a Beijing-extent grid, trained into
 //!   a transition matrix exactly the way §V.A trains on GeoLife. See
-//!   DESIGN.md "Substitutions" for why this preserves the evaluated
-//!   behaviour.
+//!   README "Design notes" → "Substitutions" for why this preserves the
+//!   evaluated behaviour.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

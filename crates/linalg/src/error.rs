@@ -39,11 +39,6 @@ pub enum LinalgError {
         /// Iterations consumed.
         iterations: usize,
     },
-    /// The input matrix was expected to be symmetric.
-    NotSymmetric {
-        /// Maximum absolute asymmetry `|a_ij − a_ji|` observed.
-        max_asymmetry: f64,
-    },
     /// An operation required a non-empty operand.
     Empty {
         /// Operation that received the empty operand.
@@ -75,12 +70,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::NoConvergence { op, iterations } => {
                 write!(f, "{op}: no convergence after {iterations} iterations")
-            }
-            LinalgError::NotSymmetric { max_asymmetry } => {
-                write!(
-                    f,
-                    "matrix is not symmetric (max |a_ij - a_ji| = {max_asymmetry})"
-                )
             }
             LinalgError::Empty { op } => write!(f, "{op}: empty operand"),
         }

@@ -20,8 +20,6 @@
 //!   mobility kernels, with `O(nnz)` products in both orientations and a
 //!   `from_dense(threshold)` compressor; see the density cutover in
 //!   `priste_markov`.
-//! * [`eigen`] — a Jacobi eigensolver for symmetric matrices, used by the QP
-//!   substrate for concavity certificates and spectral upper bounds.
 //! * [`scaling`] — HMM-style rescaled vectors that keep long products of
 //!   sub-stochastic factors inside `f64` range while tracking the logarithm
 //!   of the accumulated scale.
@@ -31,7 +29,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod eigen;
 mod error;
 mod matrix;
 pub mod scaling;
@@ -46,7 +43,7 @@ pub use vector::Vector;
 /// Convenience result alias for fallible linear algebra operations.
 pub type Result<T> = std::result::Result<T, LinalgError>;
 
-/// Absolute tolerance used by stochasticity and symmetry checks.
+/// Absolute tolerance used by stochasticity checks.
 ///
 /// Row sums of trained/synthetic transition matrices accumulate rounding from
 /// normalization, and repeated lifted products compound it; `1e-9` is tight

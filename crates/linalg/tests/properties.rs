@@ -1,6 +1,5 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use priste_linalg::eigen::symmetric_eigen;
 use priste_linalg::scaling::ScaledVector;
 use priste_linalg::{Matrix, Vector};
 use proptest::prelude::*;
@@ -61,23 +60,6 @@ proptest! {
         let raw = m.quadratic_form(&x).unwrap();
         let sym = m.symmetrize().quadratic_form(&x).unwrap();
         prop_assert!((raw - sym).abs() < 1e-8);
-    }
-
-    /// Jacobi eigendecomposition reconstructs symmetric matrices and its
-    /// eigenvalue sum matches the trace.
-    #[test]
-    fn eigen_reconstruction(m in matrix(4)) {
-        let s = m.symmetrize();
-        let e = symmetric_eigen(&s).unwrap();
-        let trace: f64 = (0..4).map(|i| s.get(i, i)).sum();
-        let sum: f64 = e.values.iter().sum();
-        prop_assert!((trace - sum).abs() < 1e-8);
-        let mut rebuilt = Matrix::zeros(4, 4);
-        for k in 0..4 {
-            let v = e.vector(k);
-            rebuilt = rebuilt.add(&Matrix::outer(&v, &v).scale(e.values[k])).unwrap();
-        }
-        prop_assert!(rebuilt.max_abs_diff(&s) < 1e-7);
     }
 
     /// Scaled forward steps represent exactly the raw product (while the

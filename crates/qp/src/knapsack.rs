@@ -1,147 +1,21 @@
-//! Exact greedy solvers for the knapsack-shaped LPs that arise when the
-//! bilinear objective is sliced along `u = π·a` — and, since the
-//! utility-aware budget planner landed, for horizon budget allocation.
+//! The budgeted-allocation LP `priste-calibrate`'s knapsack planner solves
+//! over its concavified per-step utility segments:
 //!
-//! All solve over the box `0 ≤ π ≤ 1`:
-//!
-//! * [`max_with_equality`] — `max π·w  s.t.  π·a = u` (the parametric-LP
-//!   slice used by the lower-bound sweep).
-//! * [`max_with_band`] — `max π·w  s.t.  L ≤ π·a ≤ U` (the slice used by
-//!   the sound upper-bound decomposition).
-//! * [`max_budgeted`] — `max π·w  s.t.  π·a ≤ C` (the budgeted-allocation
-//!   LP `priste-calibrate`'s knapsack planner solves over its concavified
-//!   per-step utility segments).
+//! * [`max_budgeted`] — `max π·w  s.t.  π·a ≤ C,  0 ≤ π ≤ 1`.
 //!
 //! With a single linear constraint plus box bounds, an optimal vertex has
 //! at most one fractional coordinate and the exchange argument makes the
-//! density-greedy order optimal — these are exact LP solutions, not
-//! heuristics.
+//! density-greedy order optimal — an exact LP solution, not a heuristic.
 
 use priste_linalg::Vector;
 
-/// Solution of a knapsack LP slice.
+/// Solution of the budgeted LP.
 #[derive(Debug, Clone)]
 pub struct SliceSolution {
     /// Optimal objective value.
     pub value: f64,
     /// An optimal point.
     pub point: Vector,
-}
-
-/// `max π·w` s.t. `π·a = u`, `0 ≤ π ≤ 1`, with `a ≥ 0`.
-///
-/// Returns `None` when `u` is outside the reachable interval `[0, Σa]`.
-/// Coordinates with `a_i = 0` never affect the constraint and are set to 1
-/// exactly when `w_i > 0`.
-pub fn max_with_equality(w: &Vector, a: &Vector, u: f64) -> Option<SliceSolution> {
-    let n = w.len();
-    debug_assert_eq!(a.len(), n);
-    let total: f64 = a.sum();
-    if u < -1e-12 || u > total + 1e-12 {
-        return None;
-    }
-    let u = u.clamp(0.0, total);
-
-    let mut point = Vector::zeros(n);
-    let mut value = 0.0;
-    // Free coordinates (a_i = 0): grab every positive weight.
-    for i in 0..n {
-        if a[i] == 0.0 && w[i] > 0.0 {
-            point[i] = 1.0;
-            value += w[i];
-        }
-    }
-    // Constrained coordinates: fill mass u in descending density order.
-    let mut order: Vec<usize> = (0..n).filter(|&i| a[i] > 0.0).collect();
-    order.sort_by(|&i, &j| {
-        let di = w[i] / a[i];
-        let dj = w[j] / a[j];
-        dj.partial_cmp(&di).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut remaining = u;
-    for &i in &order {
-        if remaining <= 0.0 {
-            break;
-        }
-        let take = (remaining / a[i]).min(1.0);
-        point[i] = take;
-        value += take * w[i];
-        remaining -= take * a[i];
-    }
-    Some(SliceSolution { value, point })
-}
-
-/// `max π·w` s.t. `L ≤ π·a ≤ U`, `0 ≤ π ≤ 1`, with `a ≥ 0`.
-///
-/// Returns `None` when the band does not intersect `[0, Σa]`.
-pub fn max_with_band(w: &Vector, a: &Vector, lo: f64, hi: f64) -> Option<SliceSolution> {
-    let n = w.len();
-    debug_assert_eq!(a.len(), n);
-    let total: f64 = a.sum();
-    if lo > total + 1e-12 || hi < -1e-12 || lo > hi + 1e-12 {
-        return None;
-    }
-    let lo = lo.clamp(0.0, total);
-    let hi = hi.clamp(0.0, total);
-
-    // Unconstrained optimum: take all strictly positive weights.
-    let mut point = Vector::zeros(n);
-    let mut value = 0.0;
-    let mut mass = 0.0;
-    for i in 0..n {
-        if w[i] > 0.0 {
-            point[i] = 1.0;
-            value += w[i];
-            mass += a[i];
-        }
-    }
-    if mass > hi {
-        // Shed (mass − hi) units of a-mass at the cheapest objective cost:
-        // reduce selected coordinates in ascending density w_i/a_i.
-        let mut order: Vec<usize> = (0..n).filter(|&i| point[i] > 0.0 && a[i] > 0.0).collect();
-        order.sort_by(|&i, &j| {
-            let di = w[i] / a[i];
-            let dj = w[j] / a[j];
-            di.partial_cmp(&dj).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut excess = mass - hi;
-        for &i in &order {
-            if excess <= 0.0 {
-                break;
-            }
-            let drop = (excess / a[i]).min(1.0);
-            point[i] -= drop;
-            value -= drop * w[i];
-            excess -= drop * a[i];
-        }
-        if excess > 1e-9 {
-            return None; // cannot satisfy even at π involving only a_i = 0 … unreachable since hi ≥ 0
-        }
-    } else if mass < lo {
-        // Acquire (lo − mass) units at the least objective damage: raise
-        // unselected coordinates in descending density order (weights ≤ 0).
-        let mut order: Vec<usize> = (0..n).filter(|&i| point[i] < 1.0 && a[i] > 0.0).collect();
-        order.sort_by(|&i, &j| {
-            let di = w[i] / a[i];
-            let dj = w[j] / a[j];
-            dj.partial_cmp(&di).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut deficit = lo - mass;
-        for &i in &order {
-            if deficit <= 0.0 {
-                break;
-            }
-            let room = 1.0 - point[i];
-            let add = (deficit / a[i]).min(room);
-            point[i] += add;
-            value += add * w[i];
-            deficit -= add * a[i];
-        }
-        if deficit > 1e-9 {
-            return None;
-        }
-    }
-    Some(SliceSolution { value, point })
 }
 
 /// `max π·w` s.t. `π·a ≤ capacity`, `0 ≤ π ≤ 1`, with `a ≥ 0` — the
@@ -160,10 +34,45 @@ pub fn max_with_band(w: &Vector, a: &Vector, lo: f64, hi: f64) -> Option<SliceSo
 /// reduces lower indices first), which callers exploit by ordering items so
 /// that later-preferred choices carry higher indices.
 pub fn max_budgeted(w: &Vector, a: &Vector, capacity: f64) -> Option<SliceSolution> {
+    let n = w.len();
+    debug_assert_eq!(a.len(), n);
     if capacity < -1e-12 {
         return None;
     }
-    max_with_band(w, a, 0.0, capacity.max(0.0))
+    let capacity = capacity.clamp(0.0, a.sum());
+
+    // Unconstrained optimum: take all strictly positive weights.
+    let mut point = Vector::zeros(n);
+    let mut value = 0.0;
+    let mut mass = 0.0;
+    for i in 0..n {
+        if w[i] > 0.0 {
+            point[i] = 1.0;
+            value += w[i];
+            mass += a[i];
+        }
+    }
+    if mass > capacity {
+        // Shed (mass − capacity) units of a-mass at the cheapest objective
+        // cost: reduce selected coordinates in ascending density w_i/a_i.
+        let mut order: Vec<usize> = (0..n).filter(|&i| point[i] > 0.0 && a[i] > 0.0).collect();
+        order.sort_by(|&i, &j| {
+            let di = w[i] / a[i];
+            let dj = w[j] / a[j];
+            di.partial_cmp(&dj).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let mut excess = mass - capacity;
+        for &i in &order {
+            if excess <= 0.0 {
+                break;
+            }
+            let drop = (excess / a[i]).min(1.0);
+            point[i] -= drop;
+            value -= drop * w[i];
+            excess -= drop * a[i];
+        }
+    }
+    Some(SliceSolution { value, point })
 }
 
 #[cfg(test)]
@@ -172,118 +81,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Exact LP oracle by basic-solution enumeration: with one equality
-    /// constraint plus box bounds, an optimal vertex has every coordinate
-    /// at a bound except at most one fractional coordinate `j`. Enumerate
-    /// every (subset-at-1, fractional j) combination — exponential but
-    /// exact for tiny n.
-    fn brute_force_equality(w: &Vector, a: &Vector, u: f64) -> f64 {
-        let n = w.len();
-        assert!(n <= 4);
-        let mut best = f64::NEG_INFINITY;
-        for mask in 0..(1u32 << n) {
-            let mass: f64 = (0..n).filter(|&i| mask >> i & 1 == 1).map(|i| a[i]).sum();
-            let val: f64 = (0..n).filter(|&i| mask >> i & 1 == 1).map(|i| w[i]).sum();
-            if (mass - u).abs() < 1e-9 {
-                best = best.max(val);
-            }
-            for j in 0..n {
-                if mask >> j & 1 == 1 || a[j] == 0.0 {
-                    continue;
-                }
-                let frac = (u - mass) / a[j];
-                if (0.0..=1.0).contains(&frac) {
-                    best = best.max(val + frac * w[j]);
-                }
-            }
-        }
-        best
-    }
-
-    #[test]
-    fn equality_matches_hand_example() {
-        // w = [3, 1], a = [1, 1], u = 1 ⇒ all mass on coordinate 0.
-        let sol = max_with_equality(
-            &Vector::from(vec![3.0, 1.0]),
-            &Vector::from(vec![1.0, 1.0]),
-            1.0,
-        )
-        .unwrap();
-        assert!((sol.value - 3.0).abs() < 1e-12);
-        assert!((sol.point[0] - 1.0).abs() < 1e-12);
-        assert!(sol.point[1].abs() < 1e-12);
-    }
-
-    #[test]
-    fn equality_takes_fractional_boundary() {
-        // u = 1.5 ⇒ coordinate 0 full, coordinate 1 half.
-        let sol = max_with_equality(
-            &Vector::from(vec![3.0, 1.0]),
-            &Vector::from(vec![1.0, 1.0]),
-            1.5,
-        )
-        .unwrap();
-        assert!((sol.value - 3.5).abs() < 1e-12);
-        assert!((sol.point[1] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn equality_includes_negative_weights_when_forced() {
-        // Forced to absorb all mass: value = 3 − 2 = 1.
-        let sol = max_with_equality(
-            &Vector::from(vec![3.0, -2.0]),
-            &Vector::from(vec![1.0, 1.0]),
-            2.0,
-        )
-        .unwrap();
-        assert!((sol.value - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn equality_free_coordinates_take_positive_weights() {
-        let sol = max_with_equality(
-            &Vector::from(vec![5.0, -1.0, 2.0]),
-            &Vector::from(vec![0.0, 0.0, 1.0]),
-            0.5,
-        )
-        .unwrap();
-        // Free coord 0 taken, free coord 1 skipped, constrained coord half.
-        assert!((sol.value - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn equality_rejects_unreachable_mass() {
-        assert!(
-            max_with_equality(&Vector::from(vec![1.0]), &Vector::from(vec![1.0]), 1.5).is_none()
-        );
-    }
-
-    #[test]
-    fn equality_matches_brute_force_on_random_cases() {
-        let mut rng = StdRng::seed_from_u64(42);
-        for _ in 0..500 {
-            let n = rng.gen_range(1..=4);
-            let w = Vector::from((0..n).map(|_| rng.gen_range(-2.0..2.0)).collect::<Vec<_>>());
-            let a = Vector::from((0..n).map(|_| rng.gen_range(0.0..1.5)).collect::<Vec<_>>());
-            let total = a.sum();
-            let u = rng.gen::<f64>() * total;
-            let exact = max_with_equality(&w, &a, u).unwrap().value;
-            let brute = brute_force_equality(&w, &a, u);
-            assert!(
-                (exact - brute).abs() < 1e-9,
-                "greedy {exact} != exact LP {brute} (w {:?}, a {:?}, u {u})",
-                w.as_slice(),
-                a.as_slice()
-            );
-        }
-    }
-
     #[test]
     fn band_unconstrained_when_positive_mass_fits() {
-        let sol = max_with_band(
+        let sol = max_budgeted(
             &Vector::from(vec![2.0, -1.0, 3.0]),
             &Vector::from(vec![0.5, 0.5, 0.5]),
-            0.0,
             2.0,
         )
         .unwrap();
@@ -292,64 +94,14 @@ mod tests {
 
     #[test]
     fn band_sheds_cheapest_mass_when_over() {
-        // Both positive, but band forces ≤ 0.5 mass: keep the denser one.
-        let sol = max_with_band(
+        // Both positive, but capacity forces ≤ 0.5 mass: keep the denser one.
+        let sol = max_budgeted(
             &Vector::from(vec![3.0, 1.0]),
             &Vector::from(vec![0.5, 0.5]),
-            0.0,
             0.5,
         )
         .unwrap();
         assert!((sol.value - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn band_acquires_least_damaging_mass_when_under() {
-        // All weights negative; must reach mass ≥ 1 with least loss.
-        let sol = max_with_band(
-            &Vector::from(vec![-1.0, -5.0]),
-            &Vector::from(vec![1.0, 1.0]),
-            1.0,
-            2.0,
-        )
-        .unwrap();
-        assert!((sol.value + 1.0).abs() < 1e-12);
-        assert!((sol.point[0] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn band_validates_feasibility() {
-        assert!(
-            max_with_band(&Vector::from(vec![1.0]), &Vector::from(vec![1.0]), 2.0, 3.0).is_none()
-        );
-        assert!(
-            max_with_band(&Vector::from(vec![1.0]), &Vector::from(vec![1.0]), 0.8, 0.2).is_none()
-        );
-    }
-
-    #[test]
-    fn band_dominates_equality_slices_inside_it() {
-        // The band optimum must be ≥ every equality slice within the band.
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..100 {
-            let n = rng.gen_range(2..=5);
-            let w = Vector::from((0..n).map(|_| rng.gen_range(-2.0..2.0)).collect::<Vec<_>>());
-            let a = Vector::from((0..n).map(|_| rng.gen::<f64>()).collect::<Vec<_>>());
-            let total = a.sum();
-            let lo = rng.gen::<f64>() * total * 0.5;
-            let hi = lo + rng.gen::<f64>() * (total - lo);
-            let band = max_with_band(&w, &a, lo, hi).unwrap().value;
-            for k in 0..=10 {
-                let u = lo + (hi - lo) * k as f64 / 10.0;
-                if let Some(slice) = max_with_equality(&w, &a, u) {
-                    assert!(
-                        band >= slice.value - 1e-9,
-                        "band {band} < slice {}",
-                        slice.value
-                    );
-                }
-            }
-        }
     }
 
     /// Exact LP oracle for the budgeted problem by basic-solution
@@ -439,33 +191,6 @@ mod tests {
         assert!((sol.point[1] - 1.0).abs() < 1e-12);
     }
 
-    /// Cross-check against the generic dense solver, same pattern as the
-    /// structured-vs-generic ablation: with a slack capacity the budget
-    /// constraint is inactive and the LP is the box-QP `max π·w` (Q = 0),
-    /// which projected gradient solves exactly.
-    #[test]
-    fn budgeted_matches_generic_dense_solver_when_capacity_is_slack() {
-        use crate::generic::{projected_gradient_max, BoxQp};
-        use crate::SolverConfig;
-        use priste_linalg::Matrix;
-        let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..40 {
-            let n = rng.gen_range(1..=4);
-            let w = Vector::from((0..n).map(|_| rng.gen_range(-2.0..2.0)).collect::<Vec<_>>());
-            let a = Vector::from((0..n).map(|_| rng.gen::<f64>()).collect::<Vec<_>>());
-            let lp = max_budgeted(&w, &a, a.sum() + 1.0).unwrap();
-            let dense = BoxQp::new(Matrix::zeros(n, n), w.clone());
-            let (_, generic) = projected_gradient_max(&dense, &SolverConfig::default());
-            assert!(
-                (lp.value - generic).abs() < 1e-6,
-                "knapsack {} != generic dense {} (w {:?})",
-                lp.value,
-                generic,
-                w.as_slice()
-            );
-        }
-    }
-
     #[test]
     fn budgeted_matches_brute_force_on_random_cases() {
         let mut rng = StdRng::seed_from_u64(77);
@@ -516,13 +241,16 @@ mod tests {
             let n = rng.gen_range(1..=6);
             let w = Vector::from((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect::<Vec<_>>());
             let a = Vector::from((0..n).map(|_| rng.gen::<f64>()).collect::<Vec<_>>());
-            let u = rng.gen::<f64>() * a.sum();
-            let sol = max_with_equality(&w, &a, u).unwrap();
+            let capacity = rng.gen::<f64>() * a.sum();
+            let sol = max_budgeted(&w, &a, capacity).unwrap();
             for &p in sol.point.as_slice() {
                 assert!((-1e-12..=1.0 + 1e-12).contains(&p));
             }
             let mass = sol.point.dot(&a).unwrap();
-            assert!((mass - u).abs() < 1e-9, "mass {mass} vs u {u}");
+            assert!(
+                mass <= capacity + 1e-9,
+                "mass {mass} vs capacity {capacity}"
+            );
         }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Theorem IV.1 reduces ε-spatiotemporal event privacy for *arbitrary*
 //! initial probabilities to: "is the maximum of a quadratic form over the
-//! box `0 ≤ π ≤ 1` non-positive?" — for two specific quadratic forms per
+//! probability simplex non-positive?" — for two specific quadratic forms per
 //! candidate release. Both forms are **rank-1 bilinear plus linear**:
 //!
 //! ```text
@@ -12,34 +12,34 @@
 //! ```
 //!
 //! because the paper's quadratic matrices are outer products `aᵀ(…)`. The
-//! general problem is NP-hard with one negative eigenvalue (Pardalos &
-//! Vavasis, cited by the paper), so — like CPLEX under the paper's
-//! one-second threshold — this solver is *budgeted* and returns a
-//! three-valued [`Verdict`]:
+//! paper states the feasible set as the box `0 ≤ π ≤ 1`; the reading this
+//! crate solves is the simplex `π ≥ 0, Σπ = 1` (README "Design notes": the
+//! literal box makes Eq. (15) violable for every mechanism, pinned by the
+//! `box_reading` regression test). Like CPLEX under the paper's one-second
+//! threshold, the check is *budgeted* and returns a three-valued
+//! [`Verdict`]:
 //!
-//! * `Holds` — a **sound** certificate: a proven upper bound ≤ 0, obtained
-//!   from interval decomposition over `u = π·a` with exact knapsack LPs on
-//!   each slice ([`bilinear`]).
+//! * `Holds` — a **sound** certificate: the exhaustive pair scan of
+//!   [`simplex`] visited every coordinate pair, which is an exact global
+//!   maximum over the simplex, and found it ≤ 0.
 //! * `Violated` — a concrete witness `π` with `f(π) > 0`.
 //! * `Unknown` — budget exhausted with the maximum still straddling zero;
 //!   the framework's *conservative release* (§IV.C) treats this as a
 //!   failure and keeps decaying the mechanism's budget, so privacy is never
 //!   claimed without a certificate.
 //!
-//! A generic dense-matrix solver ([`generic`]) covers non-structured inputs
-//! and cross-checks the structured path in tests and the ablation bench.
+//! [`knapsack::max_budgeted`] is the budgeted-allocation LP the
+//! utility-aware planner of `priste-calibrate` solves.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bilinear;
-pub mod generic;
 pub mod knapsack;
 pub mod simplex;
 pub mod theorem;
 
-pub use bilinear::{maximize, BilinearProgram};
 pub use knapsack::{max_budgeted, SliceSolution};
+pub use simplex::BilinearProgram;
 pub use theorem::{TheoremChecker, TheoremVerdict};
 
 use priste_linalg::Vector;
@@ -75,26 +75,10 @@ impl Verdict {
     }
 }
 
-/// Feasible set for the maximization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConstraintSet {
-    /// The probability simplex `π ≥ 0, Σπ = 1` — the set Theorem IV.1
-    /// actually needs (its derivation substitutes `Pr(¬EVENT) = 1 − π·aᵀ`,
-    /// which presumes `Σπ = 1`). **Default.** Exactly solvable in `O(m²)`
-    /// by the pair scan of [`crate::simplex`].
-    Simplex,
-    /// The paper's *literally stated* constraint `0 ≤ π_i ≤ 1` without the
-    /// sum constraint. Kept for the ablation bench and as documentation:
-    /// dropping `Σπ = 1` makes Eq. (15) violable for every mechanism
-    /// (scale any π toward zero), contradicting the paper's own α→0
-    /// termination argument — so the simplex is the faithful reading.
-    Box,
-}
-
 /// Budget and tolerances for a check.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// Abstract work units (≈ one knapsack LP or one gradient sweep each).
+    /// Abstract work units (one coordinate pair of the simplex scan each).
     /// The deterministic analogue of the paper's CPLEX wall-clock threshold
     /// (Table III); exhausting it yields [`Verdict::Unknown`].
     pub work_budget: u64,
@@ -102,8 +86,6 @@ pub struct SolverConfig {
     /// non-positive (absorbs floating-point noise in the homogeneous
     /// rescaling).
     pub tolerance: f64,
-    /// Feasible set.
-    pub constraint: ConstraintSet,
     /// Optional wall-clock deadline for one check — the faithful analogue
     /// of the paper's CPLEX time threshold (Table III). `None` (default)
     /// keeps checks fully deterministic via `work_budget` alone.
@@ -115,7 +97,6 @@ impl Default for SolverConfig {
         SolverConfig {
             work_budget: 200_000,
             tolerance: 1e-9,
-            constraint: ConstraintSet::Simplex,
             deadline: None,
         }
     }
@@ -134,13 +115,6 @@ impl SolverConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_config_is_simplex_mode() {
-        let c = SolverConfig::default();
-        assert_eq!(c.constraint, ConstraintSet::Simplex);
-        assert!(c.work_budget > 0);
-    }
 
     #[test]
     fn verdict_holds_predicate() {

@@ -1,9 +1,9 @@
 //! Exact global maximization of `f(π) = (π·a)(π·g) + π·h` over the
 //! probability simplex `{π ≥ 0, Σπ = 1}` — the feasible set Theorem IV.1
-//! actually requires (see DESIGN.md: the literal box `0 ≤ π ≤ 1` *without*
-//! the sum constraint makes Eq. (15) unsatisfiable for any mechanism,
-//! contradicting the paper's own α→0 termination argument, so the simplex
-//! constraint is implicit in the paper).
+//! actually requires (README "Design notes": the literal box `0 ≤ π ≤ 1`
+//! *without* the sum constraint makes Eq. (15) unsatisfiable for any
+//! mechanism, contradicting the paper's own α→0 termination argument, so
+//! the simplex constraint is implicit in the paper).
 //!
 //! **Why this is exact and fast.** Fix `u = π·a`. On the slice
 //! `{π ∈ simplex, π·a = u}` the objective is linear, so its maximum sits at
@@ -19,9 +19,55 @@
 //! yields `Unknown` (conservative release), an early positive pair yields
 //! `Violated` immediately.
 
-use crate::bilinear::BilinearProgram;
 use crate::{SolverConfig, Verdict};
 use priste_linalg::Vector;
+use std::time::{Duration, Instant};
+
+/// The structured program `f(π) = (π·a)(π·g) + π·h` — the exact shape of
+/// both Theorem IV.1 constraints.
+#[derive(Debug, Clone)]
+pub struct BilinearProgram {
+    /// Non-negative coefficient vector of the first bilinear factor.
+    pub a: Vector,
+    /// Coefficient vector of the second bilinear factor (any sign).
+    pub g: Vector,
+    /// Linear term (any sign).
+    pub h: Vector,
+}
+
+impl BilinearProgram {
+    /// Creates a program, validating shapes and the sign of `a`.
+    ///
+    /// # Panics
+    /// Panics on length mismatch or a negative entry in `a` — both indicate
+    /// construction bugs upstream (the `a` of Theorem IV.1 is a vector of
+    /// probabilities).
+    pub fn new(a: Vector, g: Vector, h: Vector) -> Self {
+        assert_eq!(a.len(), g.len(), "a/g length mismatch");
+        assert_eq!(a.len(), h.len(), "a/h length mismatch");
+        assert!(
+            a.as_slice().iter().all(|&x| x >= -1e-12),
+            "bilinear factor a must be non-negative"
+        );
+        BilinearProgram { a, g, h }
+    }
+
+    /// Dimension `m`.
+    pub fn dim(&self) -> usize {
+        self.a.len()
+    }
+
+    /// Evaluates `f(π)` at any point, feasible or not.
+    ///
+    /// # Panics
+    /// Panics on length mismatch.
+    pub fn eval(&self, pi: &Vector) -> f64 {
+        let u = pi.dot(&self.a).expect("length");
+        let v = pi.dot(&self.g).expect("length");
+        let l = pi.dot(&self.h).expect("length");
+        u * v + l
+    }
+}
 
 /// Exact maximum of `f` restricted to the segment
 /// `π(λ) = λ·e_i + (1−λ)·e_j`, `λ ∈ [0, 1]`.
@@ -77,22 +123,18 @@ pub struct SimplexOutcome {
 }
 
 /// Scans all coordinate pairs (each one work unit). Stops early when the
-/// budget or wall-clock deadline runs out; `early_exit_above` (if finite)
-/// stops as soon as any pair exceeds it — the violation fast-path.
-pub fn maximize_simplex(p: &BilinearProgram, budget: u64, early_exit_above: f64) -> SimplexOutcome {
-    maximize_simplex_deadline(p, budget, early_exit_above, None)
-}
-
-/// [`maximize_simplex`] with an optional wall-clock deadline (elapsed time
-/// is polled every 1024 pairs to keep the hot loop branch-cheap).
-pub fn maximize_simplex_deadline(
+/// budget or the optional wall-clock `deadline` runs out (elapsed time is
+/// polled every 1024 pairs to keep the hot loop branch-cheap);
+/// `early_exit_above` (if finite) stops as soon as any pair exceeds it —
+/// the violation fast-path.
+pub fn maximize_simplex(
     p: &BilinearProgram,
     budget: u64,
     early_exit_above: f64,
-    deadline: Option<std::time::Duration>,
+    deadline: Option<Duration>,
 ) -> SimplexOutcome {
     let n = p.dim();
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let mut best_v = f64::NEG_INFINITY;
     let mut best = (0usize, 0usize, 1.0f64);
     let mut work = 0u64;
@@ -140,8 +182,8 @@ pub fn maximize_simplex_deadline(
 /// * Every examined pair with value > tolerance ⇒ `Violated` (sound).
 /// * All pairs examined and none positive ⇒ `Holds` (exact certificate).
 /// * Budget exhausted first ⇒ `Unknown`.
-pub fn check_nonpositive_simplex(p: &BilinearProgram, cfg: &SolverConfig) -> Verdict {
-    let out = maximize_simplex_deadline(p, cfg.work_budget, cfg.tolerance, cfg.deadline);
+pub fn check_nonpositive(p: &BilinearProgram, cfg: &SolverConfig) -> Verdict {
+    let out = maximize_simplex(p, cfg.work_budget, cfg.tolerance, cfg.deadline);
     if out.best_value > cfg.tolerance {
         return Verdict::Violated {
             witness: out.best_point,
@@ -171,6 +213,106 @@ mod tests {
             Vector::from((0..n).map(|_| rng.gen_range(-1.5..1.5)).collect::<Vec<_>>()),
             Vector::from((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect::<Vec<_>>()),
         )
+    }
+
+    #[test]
+    fn eval_matches_definition() {
+        let p = BilinearProgram::new(
+            Vector::from(vec![1.0, 0.5]),
+            Vector::from(vec![-1.0, 2.0]),
+            Vector::from(vec![0.1, 0.2]),
+        );
+        let pi = Vector::from(vec![1.0, 1.0]);
+        // (1.5)(1.0) + 0.3 = 1.8
+        assert!((p.eval(&pi) - 1.8).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_a_is_rejected() {
+        let _ = BilinearProgram::new(
+            Vector::from(vec![-0.5]),
+            Vector::from(vec![1.0]),
+            Vector::from(vec![0.0]),
+        );
+    }
+
+    #[test]
+    fn certifies_obviously_nonpositive_programs() {
+        // g ≤ 0, h ≤ 0 ⇒ f ≤ 0 everywhere.
+        let p = BilinearProgram::new(
+            Vector::from(vec![0.5, 0.8, 0.2]),
+            Vector::from(vec![-1.0, -0.3, -2.0]),
+            Vector::from(vec![-0.1, 0.0, -0.5]),
+        );
+        assert!(check_nonpositive(&p, &SolverConfig::default()).holds());
+    }
+
+    #[test]
+    fn finds_witness_for_positive_programs() {
+        let p = BilinearProgram::new(
+            Vector::from(vec![1.0, 1.0]),
+            Vector::from(vec![1.0, 1.0]),
+            Vector::from(vec![0.0, 0.0]),
+        );
+        match check_nonpositive(&p, &SolverConfig::default()) {
+            Verdict::Violated { witness, value } => {
+                assert!(value > 0.5, "max should be 1 on the simplex, got {value}");
+                assert!((p.eval(&witness) - value).abs() < 1e-9);
+            }
+            v => panic!("expected violation, got {v:?}"),
+        }
+    }
+
+    #[test]
+    fn simplex_mode_respects_simplex() {
+        let p = BilinearProgram::new(
+            Vector::from(vec![1.0, 1.0]),
+            Vector::from(vec![1.0, 1.0]),
+            Vector::from(vec![0.0, 0.0]),
+        );
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
+        // On the simplex, πa = πg = 1 always ⇒ f = 1 (the box point π = 1
+        // would give 4).
+        assert!(
+            (out.best_value - 1.0).abs() < 1e-12,
+            "got {}",
+            out.best_value
+        );
+        assert!((out.best_point.sum() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_dimensional_edge_behaviour() {
+        // Single coordinate, trivially certified.
+        let p = BilinearProgram::new(
+            Vector::from(vec![0.0]),
+            Vector::from(vec![5.0]),
+            Vector::from(vec![-1.0]),
+        );
+        assert!(check_nonpositive(&p, &SolverConfig::default()).holds());
+    }
+
+    #[test]
+    fn theorem_shaped_program_with_small_epsilon_is_violated() {
+        // Mimic Eq. (15) with an emission that leaks: a = prior coeffs,
+        // b peaked inside the event, c uniform-ish, ε tiny.
+        let a = Vector::from(vec![0.9, 0.1]);
+        let b = Vector::from(vec![0.5, 0.01]);
+        let c = Vector::from(vec![0.55, 0.5]);
+        let eps: f64 = 0.01;
+        let g = Vector::from(
+            b.as_slice()
+                .iter()
+                .zip(c.as_slice())
+                .map(|(&bi, &ci)| (eps.exp() - 1.0) * bi - eps.exp() * ci)
+                .collect::<Vec<_>>(),
+        );
+        let p = BilinearProgram::new(a, g, b);
+        match check_nonpositive(&p, &SolverConfig::default()) {
+            Verdict::Violated { value, .. } => assert!(value > 0.0),
+            v => panic!("expected violation for leaky emission at ε=0.01, got {v:?}"),
+        }
     }
 
     /// Dense barycentric grid over the simplex (n ≤ 3).
@@ -206,7 +348,7 @@ mod tests {
         for case in 0..200 {
             let n = rng.gen_range(1..=3);
             let p = random_program(&mut rng, n);
-            let exact = maximize_simplex(&p, u64::MAX, f64::INFINITY);
+            let exact = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
             assert!(exact.complete);
             let grid = simplex_grid_max(&p, 120);
             assert!(
@@ -229,7 +371,7 @@ mod tests {
             Vector::from(vec![-1.0, 1.0]),
             Vector::from(vec![0.0, 0.0]),
         );
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
         assert!((out.best_value - 0.125).abs() < 1e-12);
         assert!((out.best_point[0] - 0.25).abs() < 1e-9);
     }
@@ -238,11 +380,11 @@ mod tests {
     fn budget_exhaustion_reports_incomplete() {
         let mut rng = StdRng::seed_from_u64(7);
         let p = random_program(&mut rng, 20);
-        let out = maximize_simplex(&p, 5, f64::NEG_INFINITY);
+        let out = maximize_simplex(&p, 5, f64::NEG_INFINITY, None);
         // early_exit_above = −∞ forces an exit on the very first improving
         // pair, marking the scan incomplete.
         assert!(!out.complete);
-        let v = check_nonpositive_simplex(&p, &SolverConfig::with_budget(3));
+        let v = check_nonpositive(&p, &SolverConfig::with_budget(3));
         // With 20 states and budget 3, either a genuine violation was found
         // among the first pairs or the verdict must be Unknown.
         match v {
@@ -261,10 +403,10 @@ mod tests {
             Vector::from(vec![-1.0; 6]),
             Vector::from(vec![-0.1; 6]),
         );
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
         assert!(out.complete);
         assert_eq!(out.work_used, (n * (n + 1) / 2) as u64);
-        assert!(check_nonpositive_simplex(&p, &SolverConfig::default()).holds());
+        assert!(check_nonpositive(&p, &SolverConfig::default()).holds());
     }
 
     #[test]
@@ -275,7 +417,7 @@ mod tests {
             Vector::from(vec![2.0, 0.1]),
             Vector::from(vec![0.5, 0.0]),
         );
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
         // f(e_0) = 1·2 + 0.5 = 2.5.
         assert!((out.best_value - 2.5).abs() < 1e-12);
         assert_eq!(out.best_point.as_slice(), &[1.0, 0.0]);

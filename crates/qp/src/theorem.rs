@@ -4,11 +4,11 @@
 //!
 //! Normalization note: the two inequalities are jointly homogeneous of
 //! degree 1 in `(b, c)`, so the checker rescales the pair by `1/max(c)`
-//! before solving — keeping slice LPs in a friendly floating-point range
-//! without changing any verdict. `a` is *not* rescaled (the inequalities
+//! before solving — keeping the pair scan in a friendly floating-point
+//! range without changing any verdict. `a` is *not* rescaled (the inequalities
 //! are not homogeneous in `a`; its entries are genuine probabilities).
 
-use crate::bilinear::{check_nonpositive, BilinearProgram};
+use crate::simplex::{check_nonpositive, BilinearProgram};
 use crate::{SolverConfig, Verdict};
 use priste_linalg::Vector;
 
@@ -25,14 +25,15 @@ pub enum Constraint {
 #[derive(Debug, Clone, PartialEq)]
 pub enum TheoremVerdict {
     /// Both inequalities certified: the release satisfies
-    /// ε-spatiotemporal event privacy for **every** initial probability in
-    /// the feasible set.
+    /// ε-spatiotemporal event privacy for **every** initial probability on
+    /// the simplex.
     Satisfied,
     /// At least one inequality refuted, with the worst witness.
     Violated {
         /// The refuted inequality.
         constraint: Constraint,
-        /// Witness initial distribution (box point).
+        /// Witness initial distribution (a point of the simplex with at
+        /// most two nonzero coordinates).
         witness: Vector,
         /// Positive objective value at the witness.
         value: f64,

@@ -2,10 +2,11 @@
 //!
 //! [`TheoremBuilder`](crate::TheoremBuilder) answers the *any-π* Theorem
 //! IV.1 question, and pays for that generality by replaying the committed
-//! factor chain on every candidate — `O(t·m²)` at timestep `t`, `O(T²·m²)`
-//! over a horizon. The journal extension of the paper (*Protecting
-//! Spatiotemporal Event Privacy in Continuous Location-Based Services*,
-//! arXiv:1907.10814) observes that for a **known** initial distribution the
+//! factor chain on every candidate — `O(t·nnz)` at timestep `t`,
+//! `O(T²·nnz)` over a horizon, where `nnz` counts the transition matrix's
+//! stored entries (`m²` when dense). The journal extension of the paper
+//! (*Protecting Spatiotemporal Event Privacy in Continuous Location-Based
+//! Services*, arXiv:1907.10814) observes that for a **known** initial distribution the
 //! same recursion can be maintained forward: carry the lifted row vector
 //!
 //! ```text
@@ -21,7 +22,7 @@
 //! * `Pr(o_1..o_t) = α_t · 1`.
 //!
 //! One observation therefore costs a single structured lifted step plus an
-//! emission Hadamard — `O(m²)` — which is what makes per-timestamp checking
+//! emission Hadamard — `O(nnz)` — which is what makes per-timestamp checking
 //! viable for a service tracking many users ([`priste-online`'s sessions
 //! hold one `IncrementalTwoWorld` per active event window).
 //!
@@ -38,9 +39,11 @@ use priste_linalg::scaling::ScaledVector;
 use priste_linalg::Vector;
 use priste_markov::TransitionProvider;
 
-/// Per-observation output of the incremental quantifier — the streaming
-/// analogue of [`crate::fixed_pi::StepQuantification`] plus the adversary's
-/// posterior view.
+/// Per-observation output of the incremental quantifier: the §III
+/// quantification for a known `π` (realized privacy loss) plus the exact
+/// Bayesian adversary's view of the same stream (posterior and odds lift).
+/// By Bayes the two agree: `privacy_loss == |ln odds_lift|` whenever both
+/// are finite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamStep {
     /// Timestep `t` of the observation just consumed (1-based).
@@ -72,7 +75,7 @@ impl StreamStep {
 }
 
 /// Streaming fixed-`π` event-privacy quantifier: carries the lifted forward
-/// vector across timestamps and updates in `O(m²)` per observation instead
+/// vector across timestamps and updates in `O(nnz)` per observation instead
 /// of replaying the horizon. Cross-validated against
 /// [`TheoremBuilder`](crate::TheoremBuilder) /
 /// [`TwoWorldEngine`](crate::TwoWorldEngine) by the
@@ -242,7 +245,7 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
     }
 
     /// Consumes one observation: one structured lifted step plus an emission
-    /// weighting (`O(m²)`), then the two inner products of the module docs.
+    /// weighting (`O(nnz)`), then the two inner products of the module docs.
     ///
     /// # Errors
     /// See [`IncrementalTwoWorld::peek`]. On error the state is unchanged,
@@ -633,24 +636,29 @@ mod tests {
 
     #[test]
     fn posterior_agrees_with_bayesian_adversary() {
+        // The exact Bayesian adversary's posterior is π·b / π·c of the
+        // offline builder; its odds lift is the likelihood ratio, so
+        // |ln lift| is the realized privacy loss.
         let ev = presence_event();
         let pi = Vector::from(vec![0.3, 0.3, 0.4]);
         let mut inc = IncrementalTwoWorld::new(ev.clone(), chain(), pi.clone()).unwrap();
-        let mut adv = crate::attack::BayesianAdversary::new(&ev, chain(), pi).unwrap();
+        let mut builder = TheoremBuilder::new(&ev, chain()).unwrap();
         for col in [
             Vector::from(vec![0.6, 0.3, 0.1]),
             Vector::from(vec![0.1, 0.3, 0.6]),
             Vector::from(vec![0.4, 0.4, 0.2]),
         ] {
             let s = inc.observe(&col).unwrap();
-            let inf = adv.observe(&col).unwrap();
+            let inputs = builder.candidate(&col).unwrap();
+            let posterior = pi.dot(&inputs.b).unwrap() / pi.dot(&inputs.c).unwrap();
             assert!(
-                (s.posterior - inf.posterior).abs() < 1e-10,
-                "posterior {} vs {}",
-                s.posterior,
-                inf.posterior
+                (s.posterior - posterior).abs() < 1e-10,
+                "posterior {} vs {posterior}",
+                s.posterior
             );
-            assert!((s.odds_lift - inf.odds_lift).abs() < 1e-9 * inf.odds_lift.max(1.0));
+            assert!((s.privacy_loss - inputs.privacy_loss(&pi).unwrap()).abs() < 1e-9);
+            assert!((s.privacy_loss - s.odds_lift.ln().abs()).abs() < 1e-9);
+            builder.commit(col).unwrap();
         }
     }
 }

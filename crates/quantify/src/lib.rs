@@ -20,28 +20,26 @@
 //! * [`TheoremBuilder`] — the incremental `A`/`B` recurrences of
 //!   Algorithm 2 (lines 3–15) with candidate/commit semantics matching the
 //!   release-retry loop, emitting [`TheoremInputs`] for the QP check.
-//! * [`IncrementalTwoWorld`] — the streaming face: carries the lifted
-//!   forward vector across timestamps so each observation costs `O(m²)`
-//!   instead of replaying the horizon (the journal extension's per-timestamp
-//!   recursion, arXiv:1907.10814); what `priste-online` sessions hold.
-//! * [`fixed_pi`] — §III's quantification for a *known* initial probability:
-//!   conditional likelihoods and realized privacy loss.
+//! * [`IncrementalTwoWorld`] — §III's quantification for a *known* initial
+//!   probability, as a stream: carries the lifted forward vector across
+//!   timestamps so each observation costs one lifted step, `O(nnz)` of the
+//!   transition matrix (`O(m²)` when it is dense), instead of replaying the
+//!   horizon (the journal extension's per-timestamp recursion,
+//!   arXiv:1907.10814). Each [`StreamStep`] carries the realized privacy
+//!   loss and the exact Bayesian adversary's posterior and odds lift — what
+//!   the ε guarantee bounds. `priste-online` sessions hold one per window.
 //! * [`forward_backward`] — the classic HMM smoother (Eqs. (10)–(12)).
 //! * [`naive`] — Appendix B exponential baselines (general Boolean events
 //!   via [`priste_event::EventExpr`], plus Algorithm 4's PATTERN-specific
 //!   enumeration).
-//! * [`attack`] — an exact Bayesian adversary whose posterior-odds lift is
-//!   what the ε guarantee bounds; used to verify releases operationally.
 //! * [`sweep`] — ε-capacity analysis: the smallest certifiable ε per
 //!   timestep, by bisection over the exact Theorem IV.1 checker.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod attack;
 mod engine;
 mod error;
-pub mod fixed_pi;
 pub mod forward_backward;
 mod incremental;
 pub mod lifted;

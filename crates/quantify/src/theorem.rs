@@ -13,8 +13,8 @@ use priste_markov::TransitionProvider;
 ///
 /// `b` and `c` share one log-scale; both Theorem IV.1 inequalities are
 /// jointly homogeneous of degree 1 in `(b, c)`, so the scale never changes a
-/// decision (see DESIGN.md "Numerical scaling") and the QP layer can consume
-/// the carried vectors directly.
+/// decision (README "Design notes" → "Numerical scaling") and the QP layer
+/// can consume the carried vectors directly.
 #[derive(Debug, Clone)]
 pub struct TheoremInputs {
     /// Timestep `t` these inputs describe (1-based).

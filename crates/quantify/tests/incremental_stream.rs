@@ -7,7 +7,6 @@ use priste_event::{Pattern, Presence, StEvent};
 use priste_geo::{CellId, Region};
 use priste_linalg::{Matrix, Vector};
 use priste_markov::{Homogeneous, MarkovModel};
-use priste_quantify::attack::BayesianAdversary;
 use priste_quantify::{IncrementalTwoWorld, QuantifyError, TheoremBuilder, TwoWorldEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -132,7 +131,9 @@ proptest! {
         }
     }
 
-    /// The incremental posterior is the exact Bayesian adversary's.
+    /// The incremental posterior is the exact Bayesian adversary's,
+    /// `π·b / π·c` of the offline builder, and its odds lift is the
+    /// likelihood ratio: `privacy_loss == |ln odds_lift|` (Bayes).
     #[test]
     fn incremental_posterior_is_the_adversary_posterior(
         mat in stochastic_matrix(4),
@@ -144,16 +145,25 @@ proptest! {
         // The shim inlines this body into the per-case loop, so `continue`
         // skips just this sampled case.
         let Some(mut inc) = build_or_skip(&ev, &chain, &pi) else { continue };
-        let mut adv = BayesianAdversary::new(&ev, &chain, pi).unwrap();
+        let mut builder = TheoremBuilder::new(&ev, &chain).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..ev.end() + 2 {
             let col = random_emission(&mut rng, 4);
             let stream = inc.observe(&col).unwrap();
-            let inf = adv.observe(&col).unwrap();
+            let inputs = builder.candidate(&col).unwrap();
+            let posterior = pi.dot(&inputs.b).unwrap() / pi.dot(&inputs.c).unwrap();
             prop_assert!(
-                (stream.posterior - inf.posterior).abs() < 1e-9,
-                "posterior {} vs {} ({})", stream.posterior, inf.posterior, ev
+                (stream.posterior - posterior).abs() < 1e-9,
+                "posterior {} vs {} ({})", stream.posterior, posterior, ev
             );
+            let lift_loss = stream.odds_lift.ln().abs();
+            if stream.privacy_loss.is_finite() && lift_loss.is_finite() {
+                prop_assert!(
+                    (stream.privacy_loss - lift_loss).abs() < 1e-9 * (1.0 + lift_loss),
+                    "loss {} vs |ln lift| {} ({})", stream.privacy_loss, lift_loss, ev
+                );
+            }
+            builder.commit(col).unwrap();
         }
     }
 

@@ -10,7 +10,7 @@ use priste_event::{Pattern, Presence, StEvent};
 use priste_geo::{CellId, Region};
 use priste_linalg::{Matrix, Vector};
 use priste_markov::{Homogeneous, MarkovModel, TimeVarying};
-use priste_quantify::{naive, TheoremBuilder, TwoWorldEngine};
+use priste_quantify::{naive, IncrementalTwoWorld, QuantifyError, TheoremBuilder, TwoWorldEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,6 +108,13 @@ fn joint_matches_enumeration_before_during_and_after_the_event() {
         let emissions: Vec<Vector> = (0..horizon).map(|_| random_emission(&mut rng, m)).collect();
 
         let mut builder = TheoremBuilder::new(&event, &chain).unwrap();
+        // The streaming quantifier is a third input; it refuses events that
+        // are certain or impossible under π (no ratio to track).
+        let mut stream = match IncrementalTwoWorld::new(event.clone(), &chain, pi.clone()) {
+            Ok(inc) => Some(inc),
+            Err(QuantifyError::DegeneratePrior { .. }) => None,
+            Err(e) => panic!("case {case}: unexpected construction error: {e}"),
+        };
         for t in 1..=horizon {
             let inputs = builder.candidate(&emissions[t - 1]).unwrap();
             let fast_joint_e = pi.dot(&inputs.b).unwrap() * inputs.bc_log_scale.exp();
@@ -117,6 +124,14 @@ fn joint_matches_enumeration_before_during_and_after_the_event() {
                 (fast_joint_e - slow_joint_e).abs() < 1e-10 * slow_joint_e.max(1e-30),
                 "case {case} t={t} event {event}: joint(E) {fast_joint_e} vs {slow_joint_e}"
             );
+            if let Some(inc) = stream.as_mut() {
+                let step = inc.observe(&emissions[t - 1]).unwrap();
+                let stream_joint_e = step.log_joint_event.exp();
+                assert!(
+                    (stream_joint_e - slow_joint_e).abs() < 1e-10 * slow_joint_e.max(1e-30),
+                    "case {case} t={t} event {event}: streamed joint(E) {stream_joint_e} vs {slow_joint_e}"
+                );
+            }
             // Pr(o) from c must equal Pr(E,o) + Pr(¬E,o); cross-check via
             // the complement: enumerate with the negated keep through the
             // prior identity Pr(o) = Σ over all trajectories.

@@ -12,7 +12,8 @@
 //! adversary's MAP guesses barely beating the base rate — while against an
 //! *unprotected* mechanism the same adversary's lifts blow through the
 //! band. One [`Pipeline`] is built once; each run derives a fresh auditor
-//! and adversary from it.
+//! and a fresh streaming quantifier from it, whose steps carry the exact
+//! adversary's posterior and odds lift.
 
 use priste::prelude::*;
 use rand::rngs::StdRng;
@@ -53,7 +54,7 @@ fn main() -> Result<(), PristeError> {
 
         // --- Protected: PriSTE-calibrated releases. ---
         let mut audit = pipeline.audit()?;
-        let mut adversary = pipeline.adversary()?;
+        let mut adversary = pipeline.quantifier()?;
         for &loc in &traj {
             let rec = audit.release(loc, &mut rng)?;
             let mech: Box<dyn Lppm> = if rec.final_budget == 0.0 {
@@ -68,7 +69,7 @@ fn main() -> Result<(), PristeError> {
         // --- Unprotected: the same α-PLM without calibration. ---
         let plm = pipeline.mechanism_instance()?;
         let mut rng = StdRng::seed_from_u64(run);
-        let mut adversary = pipeline.adversary()?;
+        let mut adversary = pipeline.quantifier()?;
         for &loc in &traj {
             let obs = plm.perturb(loc, &mut rng);
             let inference = adversary.observe(&plm.emission_column(obs))?;

@@ -64,7 +64,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | `priste` (this crate) | the facade: [`Pipeline`]/[`PipelineBuilder`], [`PristeError`], the prelude, the CLI |
-//! | [`linalg`] | dense matrices/vectors, Jacobi eigensolver, HMM scaling |
+//! | [`linalg`] | dense matrices/vectors, CSR sparse matrices, HMM scaling |
 //! | [`geo`] | grids, cells, regions, GPS geodesy |
 //! | [`markov`] | mobility models: training, sampling, synthesis |
 //! | [`event`] | event ASTs, `PRESENCE`/`PATTERN`, the event DSL |
@@ -90,8 +90,7 @@
 //! | `SessionManager::new(Arc::new(Homogeneous::new(chain)), online_config)` + `register_template` | `…​.serve()` (templates pre-registered from the pipeline events) |
 //! | `SessionManager::enable_enforcement(lppm, guard)` | `…​.serve_enforcing()` |
 //! | `CalibratedMechanism::new(lppm, &events, provider, π, guard)` | `…​.enforce()` |
-//! | `IncrementalTwoWorld::new(event, provider, π)` | `…​.quantifier()` |
-//! | `BayesianAdversary::new(&event, provider, π)` | `…​.adversary()` |
+//! | `IncrementalTwoWorld::new(event, provider, π)` | `…​.quantifier()` (its `StreamStep`s carry the Bayesian adversary's posterior and odds lift) |
 //! | `TheoremBuilder::new(&event, provider)` + `TheoremChecker::new(ε, solver)` | `…​.checker()` |
 //! | `plan_greedy(lppm, &event, provider, T, ε, &cfg)` | `…​.plan_greedy(T)` |
 
@@ -151,10 +150,9 @@ pub mod prelude {
         DurableError, DurableOptions, EnforcedRelease, OnlineConfig, OnlineError, RecoveryInfo,
         ServiceStats, SessionManager, UserId, UserReport, Verdict, WindowReport,
     };
-    pub use priste_qp::{ConstraintSet, SolverConfig, TheoremChecker, TheoremVerdict};
+    pub use priste_qp::{SolverConfig, TheoremChecker, TheoremVerdict};
     pub use priste_quantify::{
-        attack::BayesianAdversary, fixed_pi::FixedPiQuantifier, forward_backward, naive,
-        IncrementalTwoWorld, StreamStep, TheoremBuilder, TwoWorldEngine,
+        forward_backward, naive, IncrementalTwoWorld, StreamStep, TheoremBuilder, TwoWorldEngine,
     };
     pub use priste_serve::{
         DrainHandle, DrainSummary, LoadMode, LoadgenOptions, LoadgenReport, ServeError, Server,

@@ -427,6 +427,31 @@ fn durable_service_example_runs_to_completion() {
 /// run to completion. Spawned through the same cargo that is running the
 /// tests; the dev-profile example artifact is already built, so this is a
 /// cache hit, not a second build.
+/// The example asserts the ε guarantee itself (worst protected odds lift
+/// within e^ε); the two worst lifts are seeded and pinned here.
+#[test]
+fn adversary_bound_example_holds_the_guarantee() {
+    let out = Command::new(env!("CARGO"))
+        .args(["run", "--quiet", "--example", "adversary_bound"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("spawn cargo run --example adversary_bound");
+    assert!(
+        out.status.success(),
+        "adversary_bound failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("PriSTE-protected: worst |ln odds-lift| = 0.3515"),
+        "protected worst lift changed: {stdout}"
+    );
+    assert!(
+        stdout.contains("plain 1-PLM:      worst |ln odds-lift| = 12.5032"),
+        "unprotected worst lift changed: {stdout}"
+    );
+}
+
 #[test]
 fn quickstart_example_runs_to_completion() {
     let out = Command::new(env!("CARGO"))
