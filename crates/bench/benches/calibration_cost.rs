@@ -9,12 +9,9 @@
 //!   the evaluation without the search; the knapsack allocator pays both
 //!   probes plus the LP — the LP itself is noise next to the oracle, so
 //!   expect roughly greedy + uniform + a repair walk).
-//! * `capacity_sweep` — the satellite optimizations on the planner's bulk
-//!   workload (all `m` emission-column capacities at one timestep, which
-//!   cluster tightly): warm-chained bisection spends measurably fewer
-//!   oracle calls than cold restarts. The `std::thread::scope` fan-out is
-//!   benchmarked for completeness — it pays off proportionally to core
-//!   count, so on a single-core runner it only shows its overhead.
+//! * `capacity` — the planner's reporting workload: the exact ε-capacity
+//!   of all `m` emission columns at one timestep, one pair scan per column
+//!   (about the cost of one Theorem IV.1 check each).
 //! * `guard_overhead` — per-release cost of the online guard versus the
 //!   raw uncalibrated mechanism + audit: one peek per attempt plus the
 //!   commit, all `O(m²)`.
@@ -31,7 +28,7 @@ use priste_linalg::Vector;
 use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::Homogeneous;
 use priste_qp::SolverConfig;
-use priste_quantify::sweep::{min_certifiable_epsilon, min_certifiable_epsilons, EpsilonCapacity};
+use priste_quantify::sweep::min_certifiable_epsilon;
 use priste_quantify::{IncrementalTwoWorld, TheoremBuilder, TheoremInputs};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,10 +84,8 @@ fn bench_planner_vs_horizon(c: &mut Criterion) {
     group.finish();
 }
 
-/// The planner's bulk workload: Theorem inputs for *every* emission column
-/// of a sharp mechanism (α = 3) at one timestep. The per-column capacities
-/// sit in the bracket interior and cluster within a few percent of each
-/// other — exactly the regime the warm-start chaining accelerates.
+/// The planner's reporting workload: Theorem inputs for *every* emission
+/// column of a sharp mechanism (α = 3) at one timestep.
 fn column_inputs() -> Vec<TheoremInputs> {
     let (grid, provider, event) = setup();
     let m = grid.num_cells();
@@ -105,38 +100,18 @@ fn column_inputs() -> Vec<TheoremInputs> {
         .collect()
 }
 
-fn bench_capacity_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("capacity_sweep");
+fn bench_capacity(c: &mut Criterion) {
+    let mut group = c.benchmark_group("capacity");
     group.sample_size(10);
     let inputs = column_inputs();
     let solver = SolverConfig::default();
 
-    // Cold: every timestep bisects the full bracket from scratch.
-    group.bench_function("cold", |b| {
+    group.bench_function("exact_all_columns", |b| {
         b.iter(|| {
             inputs
                 .iter()
-                .map(|inp| min_certifiable_epsilon(inp, 1e-4, 8.0, 1e-4, &solver))
-                .map(|c| c.iterations)
-                .sum::<usize>()
-        })
-    });
-    // Warm-chained: each answer seeds the next bracket.
-    group.bench_function("warm", |b| {
-        b.iter(|| {
-            min_certifiable_epsilons(&inputs, 1e-4, 8.0, 1e-4, &solver, 1, None)
-                .iter()
-                .map(|c: &EpsilonCapacity| c.iterations)
-                .sum::<usize>()
-        })
-    });
-    // Threaded: scoped fan-out across four workers.
-    group.bench_function("warm_threads4", |b| {
-        b.iter(|| {
-            min_certifiable_epsilons(&inputs, 1e-4, 8.0, 1e-4, &solver, 4, None)
-                .iter()
-                .map(|c: &EpsilonCapacity| c.iterations)
-                .sum::<usize>()
+                .filter_map(|inp| min_certifiable_epsilon(inp, 1e-4, 8.0, &solver).min_epsilon)
+                .fold(0.0f64, f64::max)
         })
     });
     group.finish();
@@ -203,7 +178,7 @@ fn bench_guard_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_planner_vs_horizon,
-    bench_capacity_sweep,
+    bench_capacity,
     bench_guard_overhead
 );
 criterion_main!(benches);

@@ -43,7 +43,7 @@ fn main() {
         let col = plm.emission_column(CellId((t * 3) % 25));
         let inputs = builder.candidate(&col).expect("candidate");
         let lj = inputs.log_joint_total(&pi);
-        let cap = sweep::min_certifiable_epsilon(&inputs, 1e-4, 64.0, 1e-3, &solver);
+        let cap = sweep::min_certifiable_epsilon(&inputs, 1e-4, 64.0, &solver);
         x.push(t as f64);
         log_joint.push(lj);
         raw_joint.push(lj.exp()); // what raw f64 arithmetic would hold

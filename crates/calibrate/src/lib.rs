@@ -9,8 +9,9 @@
 //! privacy level by calibrating per-timestamp location budgets.
 //!
 //! * [`plan`] — offline: [`plan_greedy`] searches per-timestep budgets
-//!   ε_t against the all-columns, all-priors Theorem IV.1 oracle
-//!   (ε-capacity bisection via
+//!   ε_t against the all-columns, all-priors Theorem IV.1 oracle (each
+//!   rung stops at its first failing column; the recorded rung reports
+//!   exact per-column ε-capacities via
 //!   [`min_certifiable_epsilon`](priste_quantify::sweep::min_certifiable_epsilon)),
 //!   with [`plan_uniform_split`] as the sequential-composition baseline
 //!   and [`plan_knapsack`] as the utility-aware allocator (a

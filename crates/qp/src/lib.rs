@@ -28,6 +28,28 @@
 //!   failure and keeps decaying the mechanism's budget, so privacy is never
 //!   claimed without a certificate.
 //!
+//! **ε-capacity in one scan.** After the checker's `1/max(c)` rescale,
+//! write `A = π·a`, `B = π·b`, `C = π·c` and `E = e^ε`. Expanding both
+//! forms,
+//!
+//! ```text
+//! f₁ = A·((E−1)·B − E·C) + B = B(1 − A) − E·A(C − B) = P − E·Q
+//! f₂ = A·((E−1)·B + C) − E·B = A(C − B) − E·B(1 − A) = Q − E·P
+//! ```
+//!
+//! with `P = (π·b)(1 − π·a)` and `Q = (π·a)(π·(c − b))`, whose ratio `P/Q`
+//! is the likelihood ratio `Pr(o|EVENT)/Pr(o|¬EVENT)` under `π`. A check at
+//! ε therefore certifies exactly when `E ≥ x* = sup_π max((P − τ)/Q,
+//! (Q − τ)/P)` (τ the decision tolerance), and `ln x*` is the smallest
+//! certifiable ε: the worst realized privacy loss over all priors. At fixed
+//! `π·a` both ratios are linear-fractional in π on the slice, so, as for
+//! the pair scan, the supremum sits at a 2-sparse π.
+//! [`TheoremChecker::capacity`] visits each pair once at a running `x`: it
+//! runs the check's own segment maxima at `x` (cheap) and solves the 1-D
+//! ratio maximum in closed form only for the pairs that fail. `x` only
+//! grows and a pair that passes at `x` has its own maximum `≤ x`, so the
+//! final `x` is exact — one scan replaces a bisection over ε.
+//!
 //! [`knapsack::max_budgeted`] is the budgeted-allocation LP the
 //! utility-aware planner of `priste-calibrate` solves.
 

@@ -18,6 +18,10 @@
 //! The work budget caps the number of pairs examined; an exhausted budget
 //! yields `Unknown` (conservative release), an early positive pair yields
 //! `Violated` immediately.
+//!
+//! `capacity_scan` walks the same pairs to read off the smallest `e^ε`
+//! at which both Theorem IV.1 forms are non-positive (crate docs, "ε-capacity
+//! in one scan").
 
 use crate::{SolverConfig, Verdict};
 use priste_linalg::Vector;
@@ -76,9 +80,11 @@ impl BilinearProgram {
 /// is quadratic in λ; the maximum is at an endpoint or the interior
 /// stationary point. Returns `(λ*, f(λ*))`.
 fn pair_max(p: &BilinearProgram, i: usize, j: usize) -> (f64, f64) {
-    let (ai, aj) = (p.a[i], p.a[j]);
-    let (gi, gj) = (p.g[i], p.g[j]);
-    let (hi, hj) = (p.h[i], p.h[j]);
+    segment_max(p.a[i], p.a[j], p.g[i], p.g[j], p.h[i], p.h[j])
+}
+
+/// [`pair_max`] on the six coefficients of one segment.
+fn segment_max(ai: f64, aj: f64, gi: f64, gj: f64, hi: f64, hj: f64) -> (f64, f64) {
     // f(λ) = (aj + λΔa)(gj + λΔg) + hj + λΔh
     //      = ΔaΔg·λ² + (ajΔg + gjΔa + Δh)·λ + (aj·gj + hj)
     let da = ai - aj;
@@ -199,6 +205,148 @@ pub fn check_nonpositive(p: &BilinearProgram, cfg: &SolverConfig) -> Verdict {
         lower_bound: out.best_value,
         upper_bound: f64::INFINITY,
     }
+}
+
+/// The exact ε-capacity of one Theorem IV.1 release in one pass over the
+/// simplex: the smallest `x = e^ε ≥ 1` with `P − x·Q ≤ τ` (Eq. (15)) and
+/// `Q − x·P ≤ τ` (Eq. (16)) for every prior `π`, where
+/// `P = (π·b)(1 − π·a)` and `Q = (π·a)(π·(c − b))` — that is,
+/// `x* = max(1, sup_π max((P − τ)/Q, (Q − τ)/P))`, `+∞` when some prior
+/// violates them at every ε. `b` and `c` must already carry the checker's
+/// joint rescale, so `τ` means what it means to [`check_nonpositive`].
+///
+/// `x` starts at the largest vertex ratio. Every pair then takes the cheap
+/// test — the checker's own segment maxima of both programs at the running
+/// `x` — and only a pair that fails it pays for its exact ratio maximum
+/// (`pair_ratio_max`). The result is exact: `x` only grows, it is always
+/// 1 or some pair's ratio, and a pair that passes at `x` has its own
+/// maximum `≤ x`. Budget and deadline behave as in [`maximize_simplex`], with one
+/// work unit per vertex or pair (each unit covers both inequalities);
+/// `None` when either runs out first.
+pub(crate) fn capacity_scan(
+    a: &Vector,
+    b: &Vector,
+    c: &Vector,
+    tolerance: f64,
+    budget: u64,
+    deadline: Option<Duration>,
+) -> Option<f64> {
+    let n = a.len();
+    let (a, b, c) = (a.as_slice(), b.as_slice(), c.as_slice());
+    let started = Instant::now();
+    let out_of_work = |work: u64| {
+        work >= budget
+            || deadline.is_some_and(|d| work.is_multiple_of(1024) && started.elapsed() > d)
+    };
+    let mut work = 0u64;
+    let mut x = 1.0f64;
+    for i in 0..n {
+        if out_of_work(work) {
+            return None;
+        }
+        work += 1;
+        let (p, q) = (b[i] * (1.0 - a[i]), a[i] * (c[i] - b[i]));
+        x = x.max(ratio(p, q, tolerance)).max(ratio(q, p, tolerance));
+    }
+    // Both programs at e^ε = x, built as `TheoremChecker::programs` builds
+    // them (Eq. (15)'s linear term is b itself).
+    let programs_at = |x: f64| {
+        let g1: Vec<f64> = (0..n).map(|k| (x - 1.0) * b[k] - x * c[k]).collect();
+        let g2: Vec<f64> = (0..n).map(|k| (x - 1.0) * b[k] + c[k]).collect();
+        let h2: Vec<f64> = b.iter().map(|&bk| bk * -x).collect();
+        (g1, g2, h2)
+    };
+    let (mut g1, mut g2, mut h2) = programs_at(x);
+    for i in 0..n {
+        for j in i + 1..n {
+            if x == f64::INFINITY {
+                return Some(x);
+            }
+            if out_of_work(work) {
+                return None;
+            }
+            work += 1;
+            let passes = segment_max(a[i], a[j], g1[i], g1[j], b[i], b[j]).1 <= tolerance
+                && segment_max(a[i], a[j], g2[i], g2[j], h2[i], h2[j]).1 <= tolerance;
+            if passes {
+                continue;
+            }
+            let r = pair_ratio_max([a[i], a[j]], [b[i], b[j]], [c[i], c[j]], tolerance);
+            if r > x {
+                x = r;
+                (g1, g2, h2) = programs_at(x);
+            }
+        }
+    }
+    Some(x)
+}
+
+/// `(num − τ)/den`, the smallest `x` with `num − x·den ≤ τ`: `+∞` when no
+/// `x` works (`den ≤ 0 < num − τ`), `−∞` when every `x` does.
+fn ratio(num: f64, den: f64, tolerance: f64) -> f64 {
+    if den > 0.0 {
+        (num - tolerance) / den
+    } else if num > tolerance {
+        f64::INFINITY
+    } else {
+        f64::NEG_INFINITY
+    }
+}
+
+/// Exact maximum of `max((P − τ)/Q, (Q − τ)/P)` along the segment
+/// `π(λ) = λ·e_i + (1−λ)·e_j` (`[i, j]` entries of `a`, `b`, `c`).
+///
+/// `A = π·a`, `B = π·b` and `D = π·(c − b)` are linear in λ, so
+/// `P = B(1 − A)` and `Q = A·D` are quadratics. For `N/M` with quadratic
+/// `N`, `M` the stationarity condition `N′M − N·M′ = 0` is quadratic too
+/// (the cubic terms cancel), so each ratio peaks at an endpoint or at one
+/// of two roots. The stationary points of `P` and `Q` are evaluated as
+/// well: they catch a segment on which a denominator vanishes identically
+/// while its numerator exceeds τ somewhere inside (ratio `+∞`).
+fn pair_ratio_max(a: [f64; 2], b: [f64; 2], c: [f64; 2], tolerance: f64) -> f64 {
+    let (a0, a1) = (a[1], a[0] - a[1]);
+    let (b0, b1) = (b[1], b[0] - b[1]);
+    let (d0, d1) = (c[1] - b[1], (c[0] - b[0]) - (c[1] - b[1]));
+    // Coefficients [λ⁰, λ¹, λ²] of P = (b0 + b1λ)(1 − a0 − a1λ) and
+    // Q = (a0 + a1λ)(d0 + d1λ).
+    let p = [b0 * (1.0 - a0), b1 * (1.0 - a0) - b0 * a1, -b1 * a1];
+    let q = [a0 * d0, a0 * d1 + a1 * d0, a1 * d1];
+    let value = |l: f64| {
+        let at = a0 + a1 * l;
+        let (pv, qv) = ((b0 + b1 * l) * (1.0 - at), at * (d0 + d1 * l));
+        ratio(pv, qv, tolerance).max(ratio(qv, pv, tolerance))
+    };
+    let mut best = value(0.0).max(value(1.0));
+    for (num, den) in [(p, q), (q, p)] {
+        let n0 = num[0] - tolerance;
+        let roots = quadratic_roots(
+            num[2] * den[1] - num[1] * den[2],
+            2.0 * (num[2] * den[0] - n0 * den[2]),
+            num[1] * den[0] - n0 * den[1],
+        );
+        let apex = -num[1] / (2.0 * num[2]);
+        for l in [roots[0], roots[1], apex] {
+            // NaN and out-of-range candidates fail this test.
+            if l > 0.0 && l < 1.0 {
+                best = best.max(value(l));
+            }
+        }
+    }
+    best
+}
+
+/// Real roots of `k2·λ² + k1·λ + k0` (NaN or ±∞ where there is none),
+/// from the cancellation-free form of the quadratic formula.
+fn quadratic_roots(k2: f64, k1: f64, k0: f64) -> [f64; 2] {
+    if k2 == 0.0 {
+        return [-k0 / k1, f64::NAN];
+    }
+    let disc = k1 * k1 - 4.0 * k2 * k0;
+    if disc < 0.0 {
+        return [f64::NAN; 2];
+    }
+    let q = -0.5 * (k1 + disc.sqrt().copysign(k1));
+    [q / k2, k0 / q]
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The Theorem IV.1 constraint checker: builds Eqs. (15)/(16) as
 //! [`BilinearProgram`]s from the reduced `a`/`b`/`c` vectors and runs the
-//! budgeted non-positivity check on both.
+//! budgeted non-positivity check on both, or reads off the smallest ε at
+//! which both certify ([`TheoremChecker::capacity`]).
 //!
 //! Normalization note: the two inequalities are jointly homogeneous of
 //! degree 1 in `(b, c)`, so the checker rescales the pair by `1/max(c)`
@@ -8,7 +9,7 @@
 //! range without changing any verdict. `a` is *not* rescaled (the inequalities
 //! are not homogeneous in `a`; its entries are genuine probabilities).
 
-use crate::simplex::{check_nonpositive, BilinearProgram};
+use crate::simplex::{capacity_scan, check_nonpositive, BilinearProgram};
 use crate::{SolverConfig, Verdict};
 use priste_linalg::Vector;
 
@@ -95,12 +96,7 @@ impl TheoremChecker {
         b: &Vector,
         c: &Vector,
     ) -> [(Constraint, BilinearProgram); 2] {
-        assert_eq!(a.len(), b.len(), "a/b length mismatch");
-        assert_eq!(a.len(), c.len(), "a/c length mismatch");
-        // Joint rescale of (b, c): homogeneous, so verdicts are unchanged.
-        let scale = c.max().filter(|&m| m > 0.0).map(|m| 1.0 / m).unwrap_or(1.0);
-        let bs = b.scale(scale);
-        let cs = c.scale(scale);
+        let (bs, cs) = rescaled(a, b, c);
         let e_eps = self.epsilon.exp();
 
         // Eq. (15): (π·a)·(π·[(e^ε−1)b − e^ε c]) + π·b ≤ 0.
@@ -125,6 +121,33 @@ impl TheoremChecker {
         [(Constraint::Eq15, p1), (Constraint::Eq16, p2)]
     }
 
+    /// The exact ε-capacity of one release: the smallest `ε ≥ 0` at which
+    /// [`check`](Self::check) certifies, `ln x*` in the crate docs'
+    /// "ε-capacity in one scan" (`+∞` when no ε certifies). It is the largest
+    /// realized privacy loss `|ln(P/Q)|` any prior on the simplex can
+    /// suffer, less the checker's tolerance. Independent of the checker's
+    /// own ε.
+    ///
+    /// One scan of the coordinate pairs, each counted against both
+    /// inequalities' halves of the work budget, so it completes exactly
+    /// when `check` does. `None` when the budget or the deadline runs out
+    /// first: an unfinished scan bounds nothing.
+    ///
+    /// # Panics
+    /// Panics on length mismatches (the vectors come from one builder).
+    pub fn capacity(&self, a: &Vector, b: &Vector, c: &Vector) -> Option<f64> {
+        let (bs, cs) = rescaled(a, b, c);
+        capacity_scan(
+            a,
+            &bs,
+            &cs,
+            self.config.tolerance,
+            self.config.work_budget / 2,
+            self.config.deadline,
+        )
+        .map(f64::ln)
+    }
+
     /// Checks both inequalities; the budget is split across them.
     pub fn check(&self, a: &Vector, b: &Vector, c: &Vector) -> TheoremVerdict {
         let mut cfg = self.config.clone();
@@ -144,6 +167,18 @@ impl TheoremChecker {
         }
         TheoremVerdict::Satisfied
     }
+}
+
+/// The joint rescale of `(b, c)` by `1/max(c)`: both inequalities are
+/// homogeneous in the pair, so verdicts are unchanged.
+///
+/// # Panics
+/// Panics on length mismatches.
+fn rescaled(a: &Vector, b: &Vector, c: &Vector) -> (Vector, Vector) {
+    assert_eq!(a.len(), b.len(), "a/b length mismatch");
+    assert_eq!(a.len(), c.len(), "a/c length mismatch");
+    let scale = c.max().filter(|&m| m > 0.0).map(|m| 1.0 / m).unwrap_or(1.0);
+    (b.scale(scale), c.scale(scale))
 }
 
 #[cfg(test)]

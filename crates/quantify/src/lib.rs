@@ -33,7 +33,7 @@
 //!   via [`priste_event::EventExpr`], plus Algorithm 4's PATTERN-specific
 //!   enumeration).
 //! * [`sweep`] — ε-capacity analysis: the smallest certifiable ε per
-//!   timestep, by bisection over the exact Theorem IV.1 checker.
+//!   timestep, read off the exact Theorem IV.1 checker in one pair scan.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

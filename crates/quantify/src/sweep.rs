@@ -2,246 +2,55 @@
 //!
 //! The framework answers "does this release satisfy a given ε?"; users
 //! tuning a deployment usually ask the inverse — "what is the strongest
-//! guarantee this mechanism can give for my event?". Both Theorem IV.1
-//! inequalities are monotone in ε (larger ε is never harder — the
-//! `larger_epsilon_never_harder` test in `priste-qp` pins this), so the
-//! answer is a bisection over ε with the exact checker as the oracle.
-//!
-//! Two accelerations matter once capacities are queried in bulk (the
-//! `priste-calibrate` planner bisects once per emission column per budget
-//! rung):
-//!
-//! * **warm starts** — consecutive queries (adjacent timesteps, adjacent
-//!   budgets) move the answer slowly, so seeding the bracket from the
-//!   previous answer replaces the full `[eps_min, eps_max]` bisection with
-//!   a few probes around the hint ([`min_certifiable_epsilon_warm`]);
-//! * **threading** — independent bisections parallelize perfectly with
-//!   `std::thread::scope`; [`min_certifiable_epsilons`] chunks a batch of
-//!   [`TheoremInputs`] across a caller-chosen number of worker threads
-//!   (the repo builds with vendored deps only, so no rayon — scoped
-//!   threads are the whole machinery).
+//! guarantee this mechanism can give for my event?". The checker answers
+//! that exactly, in one scan of the coordinate pairs
+//! ([`TheoremChecker::capacity`]); this module adds the reporting range:
+//! capacities below `eps_floor` are clamped up to it, capacities above
+//! `eps_ceiling` are reported as off the scale.
 
 use crate::{Result, TheoremInputs};
 use priste_qp::{SolverConfig, TheoremChecker};
 
-/// Relative half-width of the initial warm-start window around a hint;
-/// misses expand outward by doubling (exponential search).
-const WARM_SLACK: f64 = 2e-3;
-
-/// Hard cap on bisection iterations — a numerical safety net; any practical
-/// tolerance converges long before.
-const MAX_BISECTIONS: usize = 200;
-
 /// Result of an ε-capacity query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpsilonCapacity {
-    /// The smallest ε (within `tolerance`) for which the check certifies,
-    /// or `None` if even `eps_max` fails.
+    /// The smallest ε at which the check certifies, clamped up to
+    /// `eps_floor`; `None` when it exceeds `eps_ceiling` or the scan ran
+    /// out of work.
     pub min_epsilon: Option<f64>,
-    /// Oracle calls (Theorem IV.1 checks) spent answering the query — the
-    /// quantity warm starts shrink.
-    pub iterations: usize,
-    /// The final isolating bracket `(lo, hi)`: the check fails at `lo` and
-    /// certifies at `hi`. Degenerate cases use sentinel bounds —
-    /// `(0.0, eps_min)` when even `eps_min` certifies, `(eps_max, +∞)`
-    /// when nothing in range does. Callers chain this (or `min_epsilon`)
-    /// into the `warm` hint of the next query.
-    pub bracket: (f64, f64),
+    /// Whether the solver's work budget or deadline ran out before the
+    /// scan finished: the capacity is then unknown, not off the scale.
+    pub exhausted: bool,
 }
 
-/// Finds the smallest certifiable ε for one timestep's Theorem inputs by
-/// bisection on `[eps_min, eps_max]`.
+/// The smallest certifiable ε for one timestep's Theorem inputs, within
+/// the reporting range `[eps_floor, eps_ceiling]`.
 ///
 /// # Panics
-/// Panics on a non-positive or inverted bracket (caller bug).
+/// Panics on a non-positive or inverted range (caller bug).
 pub fn min_certifiable_epsilon(
     inputs: &TheoremInputs,
-    eps_min: f64,
-    eps_max: f64,
-    tolerance: f64,
+    eps_floor: f64,
+    eps_ceiling: f64,
     solver: &SolverConfig,
-) -> EpsilonCapacity {
-    min_certifiable_epsilon_warm(inputs, eps_min, eps_max, tolerance, solver, None)
-}
-
-/// [`min_certifiable_epsilon`] with an optional warm-start hint — typically
-/// the previous timestep's (or previous budget rung's, or a near-identical
-/// sibling column's) answer.
-///
-/// The hint seeds a tight probe window around itself; if the boundary sits
-/// inside, the bisection runs over that sliver instead of the full
-/// `[eps_min, eps_max]` range. When the answer drifted, the window expands
-/// *outward by doubling* (exponential search), so a hint at distance `d`
-/// costs `O(log d)` extra probes and the final bisection still runs over a
-/// bracket proportional to the drift — a stale hint degrades gracefully
-/// toward the cold cost instead of falling off a cliff.
-///
-/// # Panics
-/// Panics on a non-positive or inverted bracket, or a non-positive
-/// tolerance (caller bug).
-pub fn min_certifiable_epsilon_warm(
-    inputs: &TheoremInputs,
-    eps_min: f64,
-    eps_max: f64,
-    tolerance: f64,
-    solver: &SolverConfig,
-    warm: Option<f64>,
 ) -> EpsilonCapacity {
     assert!(
-        eps_min > 0.0 && eps_min < eps_max,
-        "invalid bracket [{eps_min}, {eps_max}]"
+        eps_floor > 0.0 && eps_floor < eps_ceiling,
+        "invalid range [{eps_floor}, {eps_ceiling}]"
     );
-    assert!(tolerance > 0.0, "tolerance must be positive");
-
-    let mut calls = 0usize;
-    let mut certifies = |eps: f64| {
-        calls += 1;
-        TheoremChecker::new(eps, solver.clone())
-            .check(&inputs.a, &inputs.b, &inputs.c)
-            .satisfied()
-    };
-    let floor_result = |calls: usize| EpsilonCapacity {
-        min_epsilon: Some(eps_min),
-        iterations: calls,
-        bracket: (0.0, eps_min),
-    };
-    let unreachable_result = |calls: usize| EpsilonCapacity {
-        min_epsilon: None,
-        iterations: calls,
-        bracket: (eps_max, f64::INFINITY),
-    };
-
-    // Establish an isolating bracket (lo fails, hi certifies), preferring
-    // an exponential search around the hint when one is given.
-    let hint = warm
-        .filter(|w| w.is_finite() && *w > 0.0)
-        .map(|w| w.clamp(eps_min, eps_max));
-    let (mut lo, mut hi) = 'bracket: {
-        let Some(w) = hint else {
-            if !certifies(eps_max) {
-                return unreachable_result(calls);
-            }
-            if certifies(eps_min) {
-                return floor_result(calls);
-            }
-            break 'bracket (eps_min, eps_max);
-        };
-        let slack = (2.0 * tolerance).max(w * WARM_SLACK);
-        let hi_probe = (w + slack).min(eps_max);
-        let lo_probe = (w - slack).max(eps_min);
-        if certifies(hi_probe) {
-            if !certifies(lo_probe) {
-                break 'bracket (lo_probe, hi_probe); // hint window isolates
-            }
-            // Boundary below the window: expand downward by doubling.
-            let mut upper = lo_probe; // certifies
-            let mut step = slack;
-            loop {
-                let next = (upper - step).max(eps_min);
-                if next <= eps_min {
-                    if certifies(eps_min) {
-                        return floor_result(calls);
-                    }
-                    break 'bracket (eps_min, upper);
-                }
-                if !certifies(next) {
-                    break 'bracket (next, upper);
-                }
-                upper = next;
-                step *= 2.0;
-            }
-        } else {
-            // Boundary above the window: expand upward by doubling.
-            let mut lower = hi_probe; // fails
-            let mut step = slack;
-            loop {
-                let next = (lower + step).min(eps_max);
-                if next >= eps_max {
-                    if !certifies(eps_max) {
-                        return unreachable_result(calls);
-                    }
-                    break 'bracket (lower, eps_max);
-                }
-                if certifies(next) {
-                    break 'bracket (lower, next);
-                }
-                lower = next;
-                step *= 2.0;
-            }
-        }
-    };
-
-    let mut bisections = 0usize;
-    while hi - lo > tolerance && bisections < MAX_BISECTIONS {
-        bisections += 1;
-        let mid = 0.5 * (lo + hi);
-        if certifies(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
+    let capacity =
+        TheoremChecker::new(eps_floor, solver.clone()).capacity(&inputs.a, &inputs.b, &inputs.c);
     EpsilonCapacity {
-        min_epsilon: Some(hi),
-        iterations: calls,
-        bracket: (lo, hi),
+        min_epsilon: capacity
+            .filter(|&k| k <= eps_ceiling)
+            .map(|k| k.max(eps_floor)),
+        exhausted: capacity.is_none(),
     }
-}
-
-/// Bulk ε-capacity: one bisection per [`TheoremInputs`], fanned out over
-/// `threads` scoped worker threads (clamped to `[1, inputs.len()]`).
-///
-/// Within each worker the queries run in order and chain warm starts — the
-/// first query of each chunk is seeded with `warm`. With `threads == 1`
-/// this is exactly the sequential warm-chained scan, so single-threaded
-/// callers pay nothing for the generality.
-pub fn min_certifiable_epsilons(
-    inputs: &[TheoremInputs],
-    eps_min: f64,
-    eps_max: f64,
-    tolerance: f64,
-    solver: &SolverConfig,
-    threads: usize,
-    warm: Option<f64>,
-) -> Vec<EpsilonCapacity> {
-    let scan = |chunk: &[TheoremInputs]| -> Vec<EpsilonCapacity> {
-        let mut hint = warm;
-        chunk
-            .iter()
-            .map(|inp| {
-                let cap =
-                    min_certifiable_epsilon_warm(inp, eps_min, eps_max, tolerance, solver, hint);
-                // An off-scale answer resets the chain: the cold path
-                // detects "still off-scale" in a single oracle call, which
-                // no hint can beat.
-                hint = cap.min_epsilon;
-                cap
-            })
-            .collect()
-    };
-
-    let threads = threads.clamp(1, inputs.len().max(1));
-    if threads == 1 {
-        return scan(inputs);
-    }
-    let chunk_len = inputs.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(inputs.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || scan(chunk)))
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("capacity worker panicked"));
-        }
-    });
-    out
 }
 
 /// Sweeps a whole release sequence: the per-timestep minimal certifiable ε
 /// for a fixed (uncalibrated) mechanism — the curve that tells a user where
-/// in time their event is most exposed. Warm-starts each timestep from the
-/// previous answer.
+/// in time their event is most exposed.
 ///
 /// `emission_columns[i]` is the column released at timestep `i+1`; the
 /// builder is advanced with the same columns.
@@ -254,31 +63,13 @@ pub fn epsilon_capacity_curve<P: priste_markov::TransitionProvider>(
     eps_max: f64,
     solver: &SolverConfig,
 ) -> Result<Vec<EpsilonCapacity>> {
-    epsilon_capacity_curve_threaded(builder, emission_columns, eps_max, solver, 1)
-}
-
-/// [`epsilon_capacity_curve`] with a `threads` knob: the per-timestep
-/// [`TheoremInputs`] are collected sequentially (the builder's recurrence
-/// is inherently ordered and cheap next to the bisections), then the
-/// bisections fan out via [`min_certifiable_epsilons`].
-///
-/// # Errors
-/// Propagates quantification errors from the builder.
-pub fn epsilon_capacity_curve_threaded<P: priste_markov::TransitionProvider>(
-    builder: &mut crate::TheoremBuilder<P>,
-    emission_columns: &[priste_linalg::Vector],
-    eps_max: f64,
-    solver: &SolverConfig,
-    threads: usize,
-) -> Result<Vec<EpsilonCapacity>> {
-    let mut inputs = Vec::with_capacity(emission_columns.len());
+    let mut curve = Vec::with_capacity(emission_columns.len());
     for col in emission_columns {
-        inputs.push(builder.candidate(col)?);
+        let inputs = builder.candidate(col)?;
+        curve.push(min_certifiable_epsilon(&inputs, 1e-4, eps_max, solver));
         builder.commit(col.clone())?;
     }
-    Ok(min_certifiable_epsilons(
-        &inputs, 1e-4, eps_max, 1e-3, solver, threads, None,
-    ))
+    Ok(curve)
 }
 
 #[cfg(test)]
@@ -304,13 +95,13 @@ mod tests {
         let builder = TheoremBuilder::new(&ev, chain).unwrap();
         let flat = Vector::from(vec![1.0 / 3.0; 3]);
         let inputs = builder.candidate(&flat).unwrap();
-        let cap = min_certifiable_epsilon(&inputs, 1e-4, 4.0, 1e-4, &SolverConfig::default());
+        let cap = min_certifiable_epsilon(&inputs, 1e-4, 4.0, &SolverConfig::default());
         assert_eq!(
             cap.min_epsilon,
             Some(1e-4),
             "flat column should certify at the floor"
         );
-        assert_eq!(cap.bracket, (0.0, 1e-4));
+        assert!(!cap.exhausted);
     }
 
     #[test]
@@ -320,12 +111,11 @@ mod tests {
         let mild = Vector::from(vec![0.4, 0.35, 0.25]);
         let sharp = Vector::from(vec![0.9, 0.05, 0.05]);
         let cfg = SolverConfig::default();
-        let mild_eps =
-            min_certifiable_epsilon(&builder.candidate(&mild).unwrap(), 1e-4, 8.0, 1e-4, &cfg)
-                .min_epsilon
-                .unwrap();
+        let mild_eps = min_certifiable_epsilon(&builder.candidate(&mild).unwrap(), 1e-4, 8.0, &cfg)
+            .min_epsilon
+            .unwrap();
         let sharp_eps =
-            min_certifiable_epsilon(&builder.candidate(&sharp).unwrap(), 1e-4, 8.0, 1e-4, &cfg)
+            min_certifiable_epsilon(&builder.candidate(&sharp).unwrap(), 1e-4, 8.0, &cfg)
                 .min_epsilon
                 .unwrap();
         assert!(
@@ -335,63 +125,23 @@ mod tests {
     }
 
     #[test]
-    fn bisection_result_is_a_boundary() {
+    fn capacity_is_a_boundary() {
         // Just below the returned ε the check fails; at it, it certifies.
         let (ev, chain) = setup();
         let builder = TheoremBuilder::new(&ev, chain).unwrap();
         let col = Vector::from(vec![0.7, 0.2, 0.1]);
         let inputs = builder.candidate(&col).unwrap();
         let cfg = SolverConfig::default();
-        let cap = min_certifiable_epsilon(&inputs, 1e-4, 8.0, 1e-5, &cfg);
-        let eps = cap.min_epsilon.unwrap();
-        let at = TheoremChecker::new(eps, cfg.clone()).check(&inputs.a, &inputs.b, &inputs.c);
-        assert!(at.satisfied());
-        let below =
-            TheoremChecker::new((eps - 1e-3).max(1e-6), cfg).check(&inputs.a, &inputs.b, &inputs.c);
-        assert!(!below.satisfied(), "ε − 0.001 should fail at the boundary");
-        let (lo, hi) = cap.bracket;
-        assert!(lo < hi && hi == eps, "bracket must end at the answer");
-        assert!(hi - lo <= 1e-5, "bracket must be within tolerance");
-    }
-
-    #[test]
-    fn warm_start_matches_cold_and_spends_fewer_oracle_calls() {
-        let (ev, chain) = setup();
-        let builder = TheoremBuilder::new(&ev, chain).unwrap();
-        let col = Vector::from(vec![0.7, 0.2, 0.1]);
-        let inputs = builder.candidate(&col).unwrap();
-        let cfg = SolverConfig::default();
-        let cold = min_certifiable_epsilon(&inputs, 1e-4, 8.0, 1e-5, &cfg);
-        let warm = min_certifiable_epsilon_warm(&inputs, 1e-4, 8.0, 1e-5, &cfg, cold.min_epsilon);
-        assert!(
-            (warm.min_epsilon.unwrap() - cold.min_epsilon.unwrap()).abs() <= 1e-5,
-            "warm {warm:?} vs cold {cold:?}"
-        );
-        assert!(
-            warm.iterations < cold.iterations,
-            "a good hint must save oracle calls: warm {} vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-    }
-
-    #[test]
-    fn bad_warm_hints_still_converge() {
-        let (ev, chain) = setup();
-        let builder = TheoremBuilder::new(&ev, chain).unwrap();
-        let col = Vector::from(vec![0.7, 0.2, 0.1]);
-        let inputs = builder.candidate(&col).unwrap();
-        let cfg = SolverConfig::default();
-        let cold = min_certifiable_epsilon(&inputs, 1e-4, 8.0, 1e-5, &cfg)
+        let eps = min_certifiable_epsilon(&inputs, 1e-4, 8.0, &cfg)
             .min_epsilon
             .unwrap();
-        for hint in [1e-4, 7.9, 1e9, -3.0, f64::NAN] {
-            let warm = min_certifiable_epsilon_warm(&inputs, 1e-4, 8.0, 1e-5, &cfg, Some(hint));
-            assert!(
-                (warm.min_epsilon.unwrap() - cold).abs() <= 2e-5,
-                "hint {hint}: {warm:?} vs cold {cold}"
-            );
-        }
+        let check = |eps: f64| {
+            TheoremChecker::new(eps, cfg.clone())
+                .check(&inputs.a, &inputs.b, &inputs.c)
+                .satisfied()
+        };
+        assert!(check(eps + 1e-9));
+        assert!(!check(eps - 1e-3), "ε − 0.001 should fail at the boundary");
     }
 
     #[test]
@@ -410,54 +160,36 @@ mod tests {
     }
 
     #[test]
-    fn threaded_curve_matches_sequential() {
-        let (ev, chain) = setup();
-        let cols: Vec<Vector> = [
-            vec![0.5, 0.3, 0.2],
-            vec![0.7, 0.2, 0.1],
-            vec![0.2, 0.6, 0.2],
-            vec![0.4, 0.4, 0.2],
-            vec![0.6, 0.1, 0.3],
-        ]
-        .into_iter()
-        .map(Vector::from)
-        .collect();
-        let cfg = SolverConfig::default();
-        let mut b1 = TheoremBuilder::new(&ev, chain.clone()).unwrap();
-        let seq = epsilon_capacity_curve_threaded(&mut b1, &cols, 8.0, &cfg, 1).unwrap();
-        let mut b2 = TheoremBuilder::new(&ev, chain).unwrap();
-        let par = epsilon_capacity_curve_threaded(&mut b2, &cols, 8.0, &cfg, 3).unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(&par) {
-            match (s.min_epsilon, p.min_epsilon) {
-                (Some(a), Some(b)) => assert!(
-                    (a - b).abs() <= 2e-3,
-                    "sequential {a} vs threaded {b} beyond tolerance"
-                ),
-                (a, b) => assert_eq!(a, b),
-            }
-        }
-    }
-
-    #[test]
     fn unreachable_bracket_reports_none() {
         let (ev, chain) = setup();
         let builder = TheoremBuilder::new(&ev, chain).unwrap();
         let sharp = Vector::from(vec![0.98, 0.01, 0.01]);
         let inputs = builder.candidate(&sharp).unwrap();
         // ε ≤ 1e-3 cannot absorb this column's evidence.
-        let cap = min_certifiable_epsilon(&inputs, 1e-4, 1e-3, 1e-5, &SolverConfig::default());
-        assert_eq!(cap.min_epsilon, None);
-        assert_eq!(cap.bracket, (1e-3, f64::INFINITY));
-        // A warm hint cannot resurrect an unreachable bracket.
-        let warm = min_certifiable_epsilon_warm(
-            &inputs,
-            1e-4,
-            1e-3,
-            1e-5,
-            &SolverConfig::default(),
-            Some(5e-4),
+        let cap = min_certifiable_epsilon(&inputs, 1e-4, 1e-3, &SolverConfig::default());
+        assert_eq!(
+            cap,
+            EpsilonCapacity {
+                min_epsilon: None,
+                exhausted: false
+            }
         );
-        assert_eq!(warm.min_epsilon, None);
+    }
+
+    #[test]
+    fn exhausted_budget_is_unknown_not_off_scale() {
+        let (ev, chain) = setup();
+        let builder = TheoremBuilder::new(&ev, chain).unwrap();
+        let inputs = builder
+            .candidate(&Vector::from(vec![0.5, 0.3, 0.2]))
+            .unwrap();
+        let cap = min_certifiable_epsilon(&inputs, 1e-4, 8.0, &SolverConfig::with_budget(4));
+        assert_eq!(
+            cap,
+            EpsilonCapacity {
+                min_epsilon: None,
+                exhausted: true
+            }
+        );
     }
 }

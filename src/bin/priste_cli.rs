@@ -1102,6 +1102,13 @@ fn cmd_calibrate(flags: &Flags) -> Result<(), CliError> {
 
     println!("plan: {planner} budgets for ε* = {target} over {horizon} steps ({m} cells)");
     println!("{chosen}");
+    for step in chosen.steps.iter().filter(|s| s.unknown) {
+        eprintln!(
+            "plan: step {} ran out of Theorem IV.1 solver work budget; \
+             its verdict and capacity are not conclusive",
+            step.t
+        );
+    }
     println!(
         "planner,certified,epsilon,mean_budget,utility({})",
         model.name()
