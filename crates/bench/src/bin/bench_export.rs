@@ -9,8 +9,10 @@
 //!   release, the durability tax, and crash/recover round-trips.
 //! * `quantify` (`BENCH_quantify.json`) — the incremental two-world
 //!   engine: quantifier construction and per-step observe throughput.
-//! * `calibrate` (`BENCH_calibrate.json`) — the three budget planners and
-//!   guarded-release throughput behind the calibration ladder.
+//! * `calibrate` (`BENCH_calibrate.json`) — the three budget planners,
+//!   guarded-release throughput behind the calibration ladder, and the
+//!   ladder itself: one α-PLM build at m ∈ {36, 2500} and one guard-ladder
+//!   prewarm at m = 2500.
 //! * `serve` (`BENCH_serve.json`) — the HTTP daemon end-to-end: an
 //!   in-process `priste_serve::Server` on an ephemeral port driven by the
 //!   closed-loop load generator; client-observed p50/p90/p99 latency and
@@ -47,7 +49,7 @@
 
 use priste_calibrate::{
     plan_greedy, plan_knapsack, plan_uniform_split, CalibratedMechanism, GuardConfig,
-    PlanarLaplaceError, PlannerConfig,
+    MechanismCache, PlanarLaplaceError, PlannerConfig,
 };
 use priste_cluster::{Router, RouterConfig, ShardMap};
 use priste_event::{Presence, StEvent};
@@ -65,6 +67,7 @@ use priste_quantify::IncrementalTwoWorld;
 use priste_serve::{LoadMode, LoadgenOptions, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -690,6 +693,48 @@ fn suite_calibrate(
         value: releases as f64 / (release_ms.max(1e-6) / 1e3),
         unit: "releases/s",
         note: "single-session calibrated release behind the backoff ladder",
+    });
+
+    // --- The PLM ladder: one rung, then the guard's whole ladder ----------
+    //
+    // Algorithm 2 halves α and the guard backs off along a fixed ladder, so
+    // an enforcing service builds one α-PLM per rung before its first
+    // certified release. An m = 36 rung takes microseconds, so it is timed
+    // as a batch and reported per build.
+    const BATCH: usize = 64;
+    let build_36_ms = best_ms(opts.reps, || {
+        for _ in 0..BATCH {
+            black_box(PlanarLaplace::new(grid.clone(), 2.0).expect("plm"));
+        }
+    });
+    metrics.push(Metric {
+        name: "plm_build_m36",
+        value: build_36_ms * 1e3 / BATCH as f64,
+        unit: "us",
+        note: "one PlanarLaplace::new on the 6x6 grid, alpha=2",
+    });
+
+    let grid_2500 = GridMap::new(50, 50, 1.0).expect("grid");
+    let build_2500_ms = best_ms(opts.reps, || {
+        black_box(PlanarLaplace::new(grid_2500.clone(), 2.0).expect("plm"));
+    });
+    metrics.push(Metric {
+        name: "plm_build_m2500",
+        value: build_2500_ms,
+        unit: "ms",
+        note: "one PlanarLaplace::new on a 50x50 grid, alpha=2",
+    });
+
+    let prototype = PlanarLaplace::new(grid_2500, 2.0).expect("plm");
+    let prewarm_ms = best_ms(opts.reps, || {
+        let mut ladder = MechanismCache::new(Box::new(prototype.clone()));
+        ladder.prewarm(&GuardConfig::default()).expect("prewarm");
+    });
+    metrics.push(Metric {
+        name: "ladder_prewarm_m2500",
+        value: prewarm_ms,
+        unit: "ms",
+        note: "MechanismCache::prewarm of GuardConfig::default() from an alpha=2 PLM on 50x50",
     });
 
     metrics

@@ -142,8 +142,9 @@ pub fn validate_mechanism(lppm: &dyn Lppm, num_states: usize, floor: f64) -> Res
 
 /// A prototype LPPM plus its budget-decayed variants, rebuilt lazily via
 /// [`Lppm::with_budget`] and cached by budget bits (the α, α·β, α·β², …
-/// ladder repeats across timestamps and each rebuild costs an `O(m²)`
-/// discretization).
+/// ladder repeats across timestamps; an α-PLM rung costs an
+/// `O(rows·cols·s²)` kernel table plus `O(m)` row normalizers, each an
+/// `O(m)` pass over the table, and holds no dense matrix).
 pub struct MechanismCache {
     base: Box<dyn Lppm>,
     base_budget: f64,

@@ -54,7 +54,8 @@ impl<T: MechanismSource + ?Sized> MechanismSource for Box<T> {
 
 /// Algorithm 2's source: a fixed α-Planar-Laplace mechanism with a cache of
 /// decayed variants (the α, α/2, α/4, … ladder repeats across timestamps
-/// and runs, and each rebuild costs an `O(m²)` discretization).
+/// and runs; each α-PLM rebuild costs an `O(rows·cols·s²)` kernel table
+/// plus `O(m)` row normalizers, each an `O(m)` pass over the table).
 pub struct PlmSource {
     base: Arc<Box<dyn Lppm>>,
     alpha: f64,

@@ -167,9 +167,9 @@ impl GridMap {
         CellId(row * self.cols + col)
     }
 
-    /// Precomputes the full pairwise distance table (km). `O(m²)` memory;
-    /// callers cache it when the Planar Laplace emission matrix is rebuilt
-    /// per budget-halving step.
+    /// Precomputes the full pairwise distance table (km). `O(m²)` memory,
+    /// for dense per-pair builders such as the exponential mechanism and
+    /// the Gaussian-kernel chain.
     pub fn distance_table(&self) -> Vec<Vec<f64>> {
         let m = self.num_cells();
         let centers: Vec<(f64, f64)> = (0..m)

@@ -150,10 +150,10 @@ impl RestrictedPlm {
             .collect();
         let mut emission = Matrix::zeros(m, m);
         for (i, &src) in surrogate.iter().enumerate() {
-            let base_row = base.emission_matrix().row(src);
             let row = emission.row_mut(i);
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = base_row[j] * mask[j];
+            base.row_into(src, row);
+            for (v, &keep) in row.iter_mut().zip(mask.as_slice()) {
+                *v *= keep;
             }
         }
         emission.normalize_rows_mut();
@@ -185,7 +185,8 @@ impl Lppm for RestrictedPlm {
     }
 
     fn perturb(&self, true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
-        CellId(sample_row(self.emission.row(true_loc.index()), rng))
+        let row = self.emission.row(true_loc.index());
+        CellId(sample_row(row.len(), |j| row[j], rng))
     }
 
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>> {

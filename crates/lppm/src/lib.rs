@@ -6,11 +6,18 @@
 //!
 //! * [`Lppm`] — the emission-matrix abstraction consumed by the
 //!   quantification engine and the PriSTE framework, including the
-//!   budget-scaling hook that Algorithm 2's exponential decay drives.
+//!   budget-scaling hook that Algorithm 2's exponential decay drives. The
+//!   matrix may be materialized lazily; columns and samples always agree
+//!   with it bit for bit.
 //! * [`PlanarLaplace`] — the α-Planar-Laplace mechanism of
 //!   Geo-indistinguishability (Andrés et al., CCS'13), §IV.C's case study:
 //!   continuous polar-Laplace sampling via the Lambert `W₋₁` function plus a
-//!   grid-discretized emission matrix.
+//!   grid discretization stored as one translation-invariant kernel table
+//!   (`rows × cols` offsets) with a normalizer per cell. Building a rung of
+//!   Algorithm 2's α, α/2, … ladder costs `O(rows·cols·supersample²)`
+//!   density evaluations plus `O(m²)` table lookups, columns and samples
+//!   are read off the table, and the dense `m × m` matrix is materialized
+//!   only when [`Lppm::emission_matrix`] is called.
 //! * [`DeltaLocationSet`] — δ-location-set privacy (Xiao & Xiong, CCS'15),
 //!   §IV.D's case study: the emission domain restricted to the smallest cell
 //!   set carrying prior mass ≥ 1−δ, with the Eq. (21) posterior update.

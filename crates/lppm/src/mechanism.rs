@@ -12,7 +12,14 @@ use rand::RngCore;
 /// engine's privacy accounting is only sound if the matrix *is* the
 /// mechanism, not an approximation of it.
 ///
-/// `Send + Sync` are supertraits: a mechanism is immutable matrix data, and
+/// The matrix may be materialized lazily, on the first
+/// [`Lppm::emission_matrix`] call: [`crate::PlanarLaplace`] serves columns
+/// and samples from an `O(m)` kernel table and never builds the dense
+/// `m × m` matrix unless asked. An implementation that overrides
+/// [`Lppm::emission_column`] or reads its rows without the matrix must keep
+/// both bit-identical to the matrix it would materialize.
+///
+/// `Send + Sync` are supertraits: a mechanism is immutable data, and
 /// requiring thread-safety here is what lets `Box<dyn Lppm>` live inside
 /// the `Send + Sync` streaming service and its parallel release path.
 pub trait Lppm: Send + Sync {
@@ -24,12 +31,14 @@ pub trait Lppm: Send + Sync {
     fn budget(&self) -> f64;
 
     /// The row-stochastic emission matrix: entry `(i, j)` is
-    /// `Pr(o = s_j | u = s_i)`.
+    /// `Pr(o = s_j | u = s_i)`. May be built on first call; hot paths
+    /// should read [`Lppm::emission_column`] instead.
     fn emission_matrix(&self) -> &Matrix;
 
     /// Emission column `p̃_o` for a given observation (paper Table I): the
     /// vector of `Pr(o | u = s_i)` over all true cells `s_i`. This is the
-    /// quantity the Lemma III.2/III.3 recurrences consume.
+    /// quantity the Lemma III.2/III.3 recurrences consume. Bit-identical to
+    /// column `observation` of [`Lppm::emission_matrix`].
     fn emission_column(&self, observation: CellId) -> Vector {
         self.emission_matrix().col(observation.index())
     }
@@ -49,17 +58,20 @@ pub trait Lppm: Send + Sync {
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>>;
 }
 
-/// Samples an index from a normalized probability row. Shared by all
-/// emission-matrix-backed implementations so sampling semantics are uniform.
-pub(crate) fn sample_row(row: &[f64], rng: &mut dyn RngCore) -> usize {
+/// Samples an index from a normalized probability row of `len` entries,
+/// read through `entry`. Shared by every implementation, dense or not, so
+/// sampling semantics are uniform: the first index where the running sum
+/// reaches a uniform draw, else (rounding left the draw above the row's
+/// total) the last positive entry.
+pub(crate) fn sample_row(len: usize, entry: impl Fn(usize) -> f64, rng: &mut dyn RngCore) -> usize {
     let mut u = rand::Rng::gen::<f64>(rng);
-    for (i, &w) in row.iter().enumerate() {
-        u -= w;
+    for j in 0..len {
+        u -= entry(j);
         if u <= 0.0 {
-            return i;
+            return j;
         }
     }
-    row.iter().rposition(|&w| w > 0.0).unwrap_or(row.len() - 1)
+    (0..len).rev().find(|&j| entry(j) > 0.0).unwrap_or(len - 1)
 }
 
 #[cfg(test)]
@@ -73,7 +85,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let row = [0.0, 0.0, 1.0, 0.0];
         for _ in 0..200 {
-            assert_eq!(sample_row(&row, &mut rng), 2);
+            assert_eq!(sample_row(row.len(), |j| row[j], &mut rng), 2);
         }
     }
 
@@ -84,7 +96,7 @@ mod tests {
         let n = 40_000;
         let mut counts = [0usize; 3];
         for _ in 0..n {
-            counts[sample_row(&row, &mut rng)] += 1;
+            counts[sample_row(row.len(), |j| row[j], &mut rng)] += 1;
         }
         for (c, expect) in counts.iter().zip(row) {
             let f = *c as f64 / n as f64;

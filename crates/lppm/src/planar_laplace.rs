@@ -2,8 +2,9 @@ use crate::lambert::planar_laplace_radius_icdf;
 use crate::mechanism::{sample_row, Lppm};
 use crate::{LppmError, Result};
 use priste_geo::{CellId, GridMap};
-use priste_linalg::Matrix;
+use priste_linalg::{Matrix, Vector};
 use rand::{Rng, RngCore};
+use std::sync::OnceLock;
 
 /// The α-Planar-Laplace mechanism (α-PLM) of Geo-indistinguishability
 /// (Andrés et al., CCS'13) — the paper's §IV.C case-study LPPM.
@@ -15,6 +16,18 @@ use rand::{Rng, RngCore};
 /// grid truncation sends the small out-of-map mass back onto the map
 /// proportionally, keeping rows stochastic.
 ///
+/// On a regular grid the integral over output cell `j` from source cell `i`
+/// depends only on their row and column offset `(|rᵢ−rⱼ|, |cᵢ−cⱼ|)`: the
+/// integration points sit symmetrically about each cell centre, so the
+/// sign of the offset does not matter. The mechanism therefore stores one
+/// `rows × cols` kernel table plus one normalizer per source cell, built in
+/// `O(rows·cols·supersample²)` density evaluations and `O(m²)` table
+/// lookups, and every probability comes from one formula,
+/// `kernel[|Δr|·cols + |Δc|] / row_sum[i]`.
+/// [`Lppm::emission_column`] and [`Lppm::perturb`] read it directly;
+/// [`Lppm::emission_matrix`] materializes the dense `m × m` matrix from it
+/// on first call only, so all three agree bit for bit.
+///
 /// [`Lppm::perturb`] samples from the *discrete emission row*, so releases
 /// and privacy accounting use the identical distribution;
 /// [`PlanarLaplace::sample_continuous`] exposes the textbook continuous
@@ -25,13 +38,20 @@ pub struct PlanarLaplace {
     grid: GridMap,
     alpha: f64,
     supersample: usize,
-    emission: Matrix,
+    /// Raw midpoint-rule kernel sum at cell offset `(dr, dc)`, stored at
+    /// `dr · cols + dc`.
+    kernel: Vec<f64>,
+    /// Per source cell, the sum of its raw kernel row (the normalizer).
+    row_sum: Vec<f64>,
     inside_mass: Vec<f64>,
+    /// The dense emission matrix, built on the first
+    /// [`Lppm::emission_matrix`] call.
+    emission: OnceLock<Matrix>,
 }
 
 /// Default number of integration points per cell axis; 3×3 midpoints keep
 /// the row error well under the stochasticity tolerance at the paper's grid
-/// sizes while costing only 9 density evaluations per matrix entry.
+/// sizes while costing only 9 density evaluations per cell offset.
 const DEFAULT_SUPERSAMPLE: usize = 3;
 
 impl PlanarLaplace {
@@ -44,7 +64,9 @@ impl PlanarLaplace {
     }
 
     /// Builds an α-PLM with `supersample²` integration points per cell
-    /// (≥ 1). Higher values tighten the discretization at quadratic cost.
+    /// (≥ 1). Higher values tighten the discretization; the density
+    /// evaluations grow quadratically in `supersample`, once per cell
+    /// offset (`rows · cols` of them), not per pair of cells.
     ///
     /// # Errors
     /// [`LppmError::InvalidBudget`] for a non-positive or non-finite `alpha`.
@@ -53,14 +75,40 @@ impl PlanarLaplace {
             return Err(LppmError::InvalidBudget { value: alpha });
         }
         let supersample = supersample.max(1);
-        let (emission, inside_mass) = build_emission(&grid, alpha, supersample);
-        Ok(PlanarLaplace {
+        let mut plm = PlanarLaplace {
+            kernel: build_kernel(&grid, alpha, supersample),
             grid,
             alpha,
             supersample,
-            emission,
-            inside_mass,
-        })
+            row_sum: Vec::new(),
+            inside_mass: Vec::new(),
+            emission: OnceLock::new(),
+        };
+        let m = plm.grid.num_cells();
+        let mut line = vec![0.0; m];
+        plm.row_sum = (0..m)
+            .map(|i| {
+                plm.kernel_into(i, &mut line);
+                line.iter().sum()
+            })
+            .collect();
+        // Full-plane integral of the kernel e^{−αd} is 2π/α²; the midpoint
+        // sum approximates ∫_cell e^{−αd} / step².
+        let step = plm.grid.cell_size_km() / supersample as f64;
+        let full_plane = std::f64::consts::TAU / (alpha * alpha);
+        plm.inside_mass = plm
+            .row_sum
+            .iter()
+            .map(|&s| (s * step * step / full_plane).min(1.0))
+            .collect();
+        if plm.kernel[0] == 0.0 {
+            // Every density evaluation underflowed (only an enormous α with
+            // an even `supersample` gets here): release uniformly, as a
+            // row-normalization of all-zero rows would.
+            plm.kernel.fill(1.0);
+            plm.row_sum.fill(m as f64);
+        }
+        Ok(plm)
     }
 
     /// The underlying grid.
@@ -105,6 +153,45 @@ impl PlanarLaplace {
         let r = planar_laplace_radius_icdf(self.alpha, rng.gen::<f64>());
         Ok((cx + r * theta.cos(), cy + r * theta.sin()))
     }
+
+    /// `Pr(o = s_j | u = s_i)`, the formula behind every probability the
+    /// mechanism reports; [`PlanarLaplace::row_into`] and
+    /// [`Lppm::emission_column`] evaluate it a grid row at a time.
+    fn entry(&self, i: usize, j: usize) -> f64 {
+        let cols = self.grid.cols();
+        let dr = (i / cols).abs_diff(j / cols);
+        let dc = (i % cols).abs_diff(j % cols);
+        self.kernel[dr * cols + dc] / self.row_sum[i]
+    }
+
+    /// Writes emission row `i` into `out` (length `m`), entry for entry
+    /// equal to [`PlanarLaplace::entry`].
+    pub(crate) fn row_into(&self, i: usize, out: &mut [f64]) {
+        self.kernel_into(i, out);
+        let sum = self.row_sum[i];
+        for v in out {
+            *v /= sum;
+        }
+    }
+
+    /// Writes the raw kernel value at every cell's offset from `cell` into
+    /// `out` (length `m`, cell order), one grid row at a time and without an
+    /// integer division per cell.
+    fn kernel_into(&self, cell: usize, out: &mut [f64]) {
+        let cols = self.grid.cols();
+        assert!(cell < out.len(), "cell {cell} out of range");
+        let (r0, c0) = (cell / cols, cell % cols);
+        for (r, dst) in out.chunks_exact_mut(cols).enumerate() {
+            let line = &self.kernel[r.abs_diff(r0) * cols..][..cols];
+            // Columns left of `c0` read the line backwards from offset c0,
+            // the rest read it forwards from offset 0.
+            let (left, right) = dst.split_at_mut(c0);
+            for (v, &k) in left.iter_mut().zip(line[1..=c0].iter().rev()) {
+                *v = k;
+            }
+            right.copy_from_slice(&line[..cols - c0]);
+        }
+    }
 }
 
 impl Lppm for PlanarLaplace {
@@ -117,11 +204,28 @@ impl Lppm for PlanarLaplace {
     }
 
     fn emission_matrix(&self) -> &Matrix {
-        &self.emission
+        self.emission.get_or_init(|| {
+            let m = self.num_cells();
+            let mut e = Matrix::zeros(m, m);
+            for i in 0..m {
+                self.row_into(i, e.row_mut(i));
+            }
+            e
+        })
+    }
+
+    fn emission_column(&self, observation: CellId) -> Vector {
+        let mut column = vec![0.0; self.num_cells()];
+        self.kernel_into(observation.index(), &mut column);
+        for (v, &sum) in column.iter_mut().zip(&self.row_sum) {
+            *v /= sum;
+        }
+        Vector::from(column)
     }
 
     fn perturb(&self, true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
-        CellId(sample_row(self.emission.row(true_loc.index()), rng))
+        let i = true_loc.index();
+        CellId(sample_row(self.num_cells(), |j| self.entry(i, j), rng))
     }
 
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>> {
@@ -133,50 +237,32 @@ impl Lppm for PlanarLaplace {
     }
 }
 
-/// Integrates the continuous density over every (true cell, output cell)
-/// pair; returns the row-normalized emission matrix and the per-row
-/// inside-grid mass fraction (see [`PlanarLaplace::inside_mass`]).
-fn build_emission(grid: &GridMap, alpha: f64, supersample: usize) -> (Matrix, Vec<f64>) {
-    let m = grid.num_cells();
+/// Integrates the continuous density over one output cell at every
+/// `(row, column)` offset from the source cell, returning the raw
+/// midpoint-rule kernel sums (`rows × cols`, row-major). The per-sample
+/// area factors cancel in the row normalization, so they are left out.
+fn build_kernel(grid: &GridMap, alpha: f64, supersample: usize) -> Vec<f64> {
     let cell = grid.cell_size_km();
     let step = cell / supersample as f64;
-    // Integration offsets inside a cell, relative to its top-left corner.
-    let offsets: Vec<f64> = (0..supersample).map(|k| (k as f64 + 0.5) * step).collect();
-
-    let centers: Vec<(f64, f64)> = (0..m)
-        .map(|i| grid.cell_center_km(CellId(i)).expect("index in range"))
+    // Integration points relative to the output cell's centre.
+    let offsets: Vec<f64> = (0..supersample)
+        .map(|k| (k as f64 + 0.5) * step - cell / 2.0)
         .collect();
-    let corners: Vec<(f64, f64)> = centers
-        .iter()
-        .map(|&(x, y)| (x - cell / 2.0, y - cell / 2.0))
-        .collect();
-
-    let mut e = Matrix::zeros(m, m);
-    let mut inside = Vec::with_capacity(m);
-    // Full-plane integral of the kernel e^{−αd} is 2π/α²; the midpoint sum
-    // approximates ∫_cell e^{−αd} / step².
-    let full_plane = std::f64::consts::TAU / (alpha * alpha);
-    for (i, &(sx, sy)) in centers.iter().enumerate() {
-        let row = e.row_mut(i);
-        let mut row_sum = 0.0;
-        for (j, v) in row.iter_mut().enumerate() {
-            let (jx, jy) = corners[j];
+    let mut kernel = Vec::with_capacity(grid.num_cells());
+    for dr in 0..grid.rows() {
+        for dc in 0..grid.cols() {
+            let (x, y) = (dc as f64 * cell, dr as f64 * cell);
             let mut mass = 0.0;
             for &ox in &offsets {
                 for &oy in &offsets {
-                    let d = ((jx + ox - sx).powi(2) + (jy + oy - sy).powi(2)).sqrt();
+                    let d = ((x + ox).powi(2) + (y + oy).powi(2)).sqrt();
                     mass += (-alpha * d).exp();
                 }
             }
-            // The per-sample area factors cancel in the row normalization
-            // below; accumulate the raw kernel sum.
-            *v = mass;
-            row_sum += mass;
+            kernel.push(mass);
         }
-        inside.push((row_sum * step * step / full_plane).min(1.0));
     }
-    e.normalize_rows_mut();
-    (e, inside)
+    kernel
 }
 
 #[cfg(test)]
@@ -308,18 +394,51 @@ mod tests {
 
     #[test]
     fn perturb_matches_emission_row_frequencies() {
-        let plm = PlanarLaplace::new(GridMap::new(2, 2, 1.0).unwrap(), 0.8).unwrap();
-        let mut rng = StdRng::seed_from_u64(99);
-        let n = 60_000;
-        let mut counts = [0usize; 4];
-        for _ in 0..n {
-            counts[plm.perturb(CellId(1), &mut rng).index()] += 1;
+        for (rows, cols, true_cell) in [(2, 2, 1), (3, 4, 6)] {
+            let grid = GridMap::new(rows, cols, 1.0).unwrap();
+            let plm = PlanarLaplace::new(grid, 0.8).unwrap();
+            let mut rng = StdRng::seed_from_u64(99);
+            let n = 60_000;
+            let mut counts = vec![0usize; rows * cols];
+            for _ in 0..n {
+                counts[plm.perturb(CellId(true_cell), &mut rng).index()] += 1;
+            }
+            let row = plm.emission_matrix().row(true_cell);
+            for (c, &expect) in counts.iter().zip(row) {
+                let f = *c as f64 / n as f64;
+                assert!((f - expect).abs() < 0.01, "{rows}x{cols}: {f} vs {expect}");
+            }
         }
-        let row = plm.emission_matrix().row(1);
-        for (c, &expect) in counts.iter().zip(row) {
-            let f = *c as f64 / n as f64;
-            assert!((f - expect).abs() < 0.01, "{f} vs {expect}");
+    }
+
+    #[test]
+    fn serving_reads_never_materialize_the_matrix() {
+        let plm = PlanarLaplace::new(GridMap::new(4, 6, 0.5).unwrap(), 1.5).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        for round in 0..10 {
+            for o in 0..plm.num_cells() {
+                let column = plm.emission_column(CellId(o));
+                assert_eq!(column.len(), 24);
+                plm.perturb(CellId((o + round) % 24), &mut rng);
+            }
+            let rung = plm.with_budget(1.5 / f64::from(1 << round)).unwrap();
+            rung.emission_column(CellId(round));
         }
+        assert!(plm.emission.get().is_none());
+        plm.emission_matrix();
+        assert!(plm.emission.get().is_some());
+    }
+
+    #[test]
+    fn an_underflowed_kernel_releases_uniformly() {
+        // With an even supersample no integration point sits on the cell
+        // centre, so at α = 10⁴ every density evaluation underflows to 0.
+        let plm =
+            PlanarLaplace::with_supersample(GridMap::new(2, 3, 1.0).unwrap(), 1e4, 2).unwrap();
+        assert!(plm.inside_mass().iter().all(|&f| f == 0.0));
+        let e = plm.emission_matrix();
+        assert!(e.as_slice().iter().all(|&p| p == 1.0 / 6.0));
+        assert_eq!(plm.emission_column(CellId(4)).as_slice(), &[1.0 / 6.0; 6]);
     }
 
     #[test]

@@ -51,7 +51,8 @@ impl Lppm for UniformMechanism {
     }
 
     fn perturb(&self, _true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
-        CellId(sample_row(self.emission.row(0), rng))
+        let row = self.emission.row(0);
+        CellId(sample_row(row.len(), |j| row[j], rng))
     }
 
     fn with_budget(&self, _budget: f64) -> Result<Box<dyn Lppm>> {
@@ -113,7 +114,8 @@ impl Lppm for RandomizedResponse {
     }
 
     fn perturb(&self, true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
-        CellId(sample_row(self.emission.row(true_loc.index()), rng))
+        let row = self.emission.row(true_loc.index());
+        CellId(sample_row(row.len(), |j| row[j], rng))
     }
 
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>> {
@@ -183,7 +185,8 @@ impl Lppm for ExponentialMechanism {
     }
 
     fn perturb(&self, true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
-        CellId(sample_row(self.emission.row(true_loc.index()), rng))
+        let row = self.emission.row(true_loc.index());
+        CellId(sample_row(row.len(), |j| row[j], rng))
     }
 
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>> {
